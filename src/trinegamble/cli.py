@@ -85,24 +85,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Materialized run configuration; fields unused by a subcommand keep
-    their defaults so the echoed line always lists every knob."""
-
-    subcommand: str
-    rounds: int = 0
-    seed: int = 0
-    rate_r: float = 0.0
-    penalty_R: float = 0.0
-    k: float = 0.0
-    noise_lambda: float = 0.0
-    alice_spec: str = ""
-    bob_spec: str = ""
-    output: str = "-"
-    format: str = "csv"
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -314,45 +296,33 @@ def cmd_simulate(args) -> int:
         abort_threshold=args.abort_threshold,
         abort_min_checks=args.abort_min_checks,
     )
-    cfg = CliConfig(
-        subcommand="simulate",
-        seed=seed,
-        rounds=args.rounds,
-        rate_r=args.rate_r,
-        penalty_R=args.penalty_R,
-        noise_lambda=args.noise,
-        alice_spec=args.alice,
-        bob_spec=args.bob,
-        output=args.output,
-        format=args.format,
-    )
     _echo_config(
-        cfg.subcommand,
+        "simulate",
         [
-            ("alice", cfg.alice_spec),
-            ("bob", cfg.bob_spec),
-            ("rounds", cfg.rounds),
-            ("seed", cfg.seed),
-            ("rate-r", cfg.rate_r),
-            ("penalty-R", cfg.penalty_R),
-            ("noise", cfg.noise_lambda),
+            ("alice", args.alice),
+            ("bob", args.bob),
+            ("rounds", args.rounds),
+            ("seed", seed),
+            ("rate-r", args.rate_r),
+            ("penalty-R", args.penalty_R),
+            ("noise", args.noise),
             ("abort-threshold", args.abort_threshold),
             ("abort-min-checks", args.abort_min_checks),
             ("workers", args.workers),
             ("transcript", args.transcript),
-            ("format", cfg.format),
-            ("output", cfg.output),
+            ("format", args.format),
+            ("output", args.output),
         ],
     )
     config = SimConfig(
-        rounds=cfg.rounds, seed=cfg.seed, params=params, alice=alice, bob=bob, workers=args.workers
+        rounds=args.rounds, seed=seed, params=params, alice=alice, bob=bob, workers=args.workers
     )
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as sink_file:
             result = simulate(config, transcript_sink=lambda t: sink_file.write(transcript_line(t) + "\n"))
     else:
         result = simulate(config)
-    _write_rows([result.to_record()], SIM_COLUMNS, cfg.format, cfg.output)
+    _write_rows([result.to_record()], SIM_COLUMNS, args.format, args.output)
     return 3 if result.aborted else 0
 
 
@@ -414,7 +384,7 @@ def cmd_sweep_theta(args) -> int:
         exact = enumerate_exact(alice, params)
         closed = gain_total(theta, args.rate_r, args.penalty_R).g_total
         mc_mean, mc_stderr, result = _sweep_mc(alice, params, args.rounds, seed + i, args.workers)
-        z = compare_stats(result, exact.g_alice)
+        z = compare_stats(result, exact)
         rows.append(
             {
                 "parameter": theta,
@@ -450,7 +420,7 @@ def cmd_sweep_r(args) -> int:
         params = ProtocolParams(r=r, R=R)
         exact = enumerate_exact(HonestAlice(), params)
         mc_mean, mc_stderr, result = _sweep_mc(HonestAlice(), params, args.rounds, seed + i, args.workers)
-        z = compare_stats(result, exact.g_alice)
+        z = compare_stats(result, exact)
         rows.append(
             {
                 "parameter": r,

@@ -8,13 +8,14 @@ index) no matter how rounds are partitioned across workers. Worker counts
 only change float accumulation order in the reported means.
 
 Abort monitoring and transcript streaming are inherently sequential (the
-monitor consumes the ledger in round order), so those paths run single
-process regardless of the configured worker count; identical per-round
+monitor reads the running counts in round order), so those runs play in
+one process regardless of the configured worker count; identical per-round
 randomness keeps the outcomes consistent either way.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ import numpy as np
 
 from .protocol import (
     CheckResult,
-    Ledger,
     MonitorDecision,
     ProtocolParams,
     RoundKind,
@@ -43,6 +43,9 @@ from .strategies import FixedStateCheat, HonestAlice, MixtureCheat
 
 DRAWS_PER_ROUND = 8
 _CHUNK = 1 << 16
+# payoff variance (and mean gap) below which a branch table counts as
+# deterministic; zero-probability branches leave residue far below it
+_DEGENERATE_TOL = 1e-12
 
 
 class DeterministicDivergence(Exception):
@@ -83,17 +86,7 @@ class SimResult:
     aborted: bool
 
     def to_record(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "mean_gain_alice": self.mean_gain_alice,
-            "mean_gain_bob": self.mean_gain_bob,
-            "stderr": self.stderr,
-            "win_count": self.win_count,
-            "lose_count": self.lose_count,
-            "check_count": self.check_count,
-            "accuse_count": self.accuse_count,
-            "aborted": self.aborted,
-        }
+        return dataclasses.asdict(self)
 
 
 class _RoundRng:
@@ -112,24 +105,33 @@ def _round_rows(seed: int, start: int, count: int) -> list:
     return np.random.Generator(bits).random((count, DRAWS_PER_ROUND)).tolist()
 
 
-def _block_sums(alice, bob, params, seed, start, count):
-    """Totals over rounds [start, start + count): (sum, sumsq, wins, losses,
-    checks, accusations)."""
+def _block_sums(alice, bob, params, seed, start, count, sink=None):
+    """Play rounds [start, start + count) in order and total them: (rounds,
+    sum, sumsq, wins, losses, checks, accusations, aborted).
+
+    Every round goes to sink, when given, before the abort monitor looks at
+    it, so the round that trips the monitor is still written; rounds is
+    short of count only when the monitor tripped.
+    """
     rng = _RoundRng()
     s1 = 0.0
     s2 = 0.0
     wins = losses = checks = accs = 0
+    monitor_on = params.abort_threshold is not None
     checking = RoundKind.CHECKING
     bob_won = RoundResult.BOB_WON
     accuse = CheckResult.ACCUSE
+    abort = MonitorDecision.ABORT
+    aborted = False
     done = 0
-    while done < count:
+    while done < count and not aborted:
         n = min(_CHUNK, count - done)
         rows = _round_rows(seed, start + done, n)
         for row in rows:
             rng.row = row
             rng.pos = 0
-            kind, _, _, verdict, check, a_delta, _ = run_round(alice, bob, params, rng)
+            t = run_round(alice, bob, params, rng)
+            kind, _, _, verdict, check, a_delta, _ = t
             s1 += a_delta
             s2 += a_delta * a_delta
             if verdict.result is bob_won:
@@ -140,8 +142,14 @@ def _block_sums(alice, bob, params, seed, start, count):
                 checks += 1
                 if check is accuse:
                     accs += 1
+            if sink is not None:
+                sink(t)
+            if monitor_on and kind is checking:
+                if abort_monitor(checks, accs, params) is abort:
+                    aborted = True
+                    break
         done += n
-    return s1, s2, wins, losses, checks, accs
+    return wins + losses, s1, s2, wins, losses, checks, accs, aborted
 
 
 def _result_from_sums(n, s1, s2, wins, losses, checks, accs, aborted) -> SimResult:
@@ -151,44 +159,11 @@ def _result_from_sums(n, s1, s2, wins, losses, checks, accs, aborted) -> SimResu
         stderr = math.sqrt(var / n)
     else:
         stderr = 0.0
-    return SimResult(n, mean, -mean, stderr, wins, losses, checks, accs, aborted)
-
-
-def _run_sequential(config: SimConfig, transcript_sink) -> SimResult:
-    params = config.params
-    ledger = Ledger()
-    rng = _RoundRng()
-    s1 = 0.0
-    s2 = 0.0
-    monitor_on = params.abort_threshold is not None
-    checking = RoundKind.CHECKING
-    done = 0
-    aborted = False
-    while done < config.rounds and not aborted:
-        n = min(_CHUNK, config.rounds - done)
-        rows = _round_rows(config.seed, done, n)
-        for row in rows:
-            rng.row = row
-            rng.pos = 0
-            t = run_round(config.alice, config.bob, params, rng)
-            ledger.update(t)
-            s1 += t.alice_delta
-            s2 += t.alice_delta * t.alice_delta
-            if transcript_sink is not None:
-                transcript_sink(t)
-            if monitor_on and t.kind is checking:
-                if abort_monitor(ledger, params) is MonitorDecision.ABORT:
-                    aborted = True
-                    break
-        done = ledger.rounds
-    ledger.aborted = aborted
-    return _result_from_sums(ledger.rounds, s1, s2, ledger.wins, ledger.losses,
-                             ledger.checks, ledger.accusations, aborted)
+    return SimResult(n, mean, -mean, stderr, wins, losses, checks, accs, bool(aborted))
 
 
 def _worker(args):
-    alice, bob, params, seed, start, count = args
-    return _block_sums(alice, bob, params, seed, start, count)
+    return _block_sums(*args)
 
 
 def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
@@ -200,32 +175,23 @@ def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
     with aborted = True.
     """
     params = config.params
-    if transcript_sink is not None or params.abort_threshold is not None:
-        return _run_sequential(config, transcript_sink)
-
     workers = min(config.workers, config.rounds)
-    if workers <= 1:
-        sums = _block_sums(config.alice, config.bob, params, config.seed, 0, config.rounds)
-        s1, s2, wins, losses, checks, accs = sums
-    else:
-        base, extra = divmod(config.rounds, workers)
-        jobs = []
-        start = 0
-        for w in range(workers):
-            count = base + (1 if w < extra else 0)
-            jobs.append((config.alice, config.bob, params, config.seed, start, count))
-            start += count
-        s1 = s2 = 0.0
-        wins = losses = checks = accs = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_worker, jobs):
-                s1 += part[0]
-                s2 += part[1]
-                wins += part[2]
-                losses += part[3]
-                checks += part[4]
-                accs += part[5]
-    return _result_from_sums(config.rounds, s1, s2, wins, losses, checks, accs, False)
+    if transcript_sink is not None or params.abort_threshold is not None or workers <= 1:
+        return _result_from_sums(*_block_sums(config.alice, config.bob, params, config.seed,
+                                              0, config.rounds, transcript_sink))
+    base, extra = divmod(config.rounds, workers)
+    jobs = []
+    start = 0
+    for w in range(workers):
+        count = base + (1 if w < extra else 0)
+        jobs.append((config.alice, config.bob, params, config.seed, start, count))
+        start += count
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(_worker, jobs))
+    totals = parts[0]
+    for part in parts[1:]:
+        totals = [a + b for a, b in zip(totals, part)]
+    return _result_from_sums(*totals)
 
 
 @dataclass(frozen=True)
@@ -287,16 +253,21 @@ def enumerate_exact(alice, params: ProtocolParams) -> ExactExpectation:
     return ExactExpectation(g, tuple(rows))
 
 
-def compare_stats(result: SimResult, expected: float) -> float:
-    """z-score of the simulated sender mean against an expected value.
+def compare_stats(result: SimResult, exact: ExactExpectation) -> float:
+    """z-score of the simulated sender mean against the exact expectation.
 
-    Zero spread is legitimate only when the simulation hit the expectation
-    exactly; otherwise something deterministic went wrong and no amount of
-    extra rounds would fix it.
+    The spread is the run's own standard error, or, when the run shows none
+    (one round, or equal payoffs by chance), the one the branch table
+    predicts for that many rounds. A table with no spread (to _DEGENERATE_TOL)
+    fixes every round's payoff: a run that misses its mean went wrong
+    deterministically and no amount of extra rounds would fix it.
     """
-    if result.stderr == 0.0:
-        if result.mean_gain_alice == expected:
+    g = exact.g_alice
+    var = math.fsum(prob * (payoff - g) ** 2 for _, prob, payoff in exact.branch_table)
+    diff = result.mean_gain_alice - g
+    if var <= _DEGENERATE_TOL:
+        if abs(diff) <= _DEGENERATE_TOL * max(1.0, abs(g)):
             return 0.0
         raise DeterministicDivergence(
-            f"zero-variance run produced {result.mean_gain_alice!r}, expected {expected!r}")
-    return (result.mean_gain_alice - expected) / result.stderr
+            f"zero-variance run produced {result.mean_gain_alice!r}, expected {g!r}")
+    return diff / (result.stderr or math.sqrt(var / result.rounds))

@@ -132,33 +132,6 @@ class RoundTranscript(NamedTuple):
     bob_delta: float
 
 
-@dataclass
-class Ledger:
-    """Running totals; the two balances stay exact negatives of each other."""
-
-    rounds: int = 0
-    alice_total: float = 0.0
-    bob_total: float = 0.0
-    wins: int = 0
-    losses: int = 0
-    checks: int = 0
-    accusations: int = 0
-    aborted: bool = False
-
-    def update(self, t: RoundTranscript) -> None:
-        self.rounds += 1
-        self.alice_total += t.alice_delta
-        self.bob_total += t.bob_delta
-        if t.verdict.result is RoundResult.BOB_WON:
-            self.wins += 1
-        else:
-            self.losses += 1
-        if t.kind is RoundKind.CHECKING:
-            self.checks += 1
-            if t.check is CheckResult.ACCUSE:
-                self.accusations += 1
-
-
 def settle(kind: RoundKind, verdict: Verdict, check: Optional[CheckResult],
            params: ProtocolParams) -> tuple:
     """Coin deltas (sender, receiver) for one adjudicated round.
@@ -245,17 +218,17 @@ def run_round(alice, bob, params: ProtocolParams, rng) -> RoundTranscript:
                            alice_delta, bob_delta)
 
 
-def abort_monitor(ledger: Ledger, params: ProtocolParams) -> MonitorDecision:
+def abort_monitor(checks: int, accusations: int, params: ProtocolParams) -> MonitorDecision:
     """Receiver-side tripwire on the accusation rate.
 
     Abort iff at least abort_min_checks checks have run and the observed
-    accusation rate exceeds abort_threshold. With the threshold unset the
-    monitor never trips.
+    accusation rate accusations / checks exceeds abort_threshold. With the
+    threshold unset the monitor never trips.
     """
     if params.abort_threshold is None:
         return MonitorDecision.CONTINUE
-    if ledger.checks >= params.abort_min_checks:
-        if ledger.accusations / ledger.checks > params.abort_threshold:
+    if checks >= params.abort_min_checks:
+        if accusations / checks > params.abort_threshold:
             return MonitorDecision.ABORT
     return MonitorDecision.CONTINUE
 

@@ -4,7 +4,7 @@ Sender kinds: honest uniform play, a fixed prepared state with a fixed
 claim, a classical mixture of such pairs, and an entangled sender who
 keeps half of a pure two-qubit state and picks her claim from lookup
 tables after hearing the guess. Receivers: the honest optimal
-discriminator plus blind and biased variants kept around as a test family.
+discriminator and a blind receiver who guesses uniformly.
 
 Strategies are stateless. prepare() returns everything the later
 adjudication needs, so one instance can serve any number of rounds and
@@ -19,7 +19,7 @@ from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
-from .protocol import RoundKind, RoundResult, Verdict, bob_check  # noqa: F401 (bob_check re-exported)
+from .protocol import RoundKind, RoundResult, Verdict
 from .qubit import (
     LABEL_INDEX,
     LABELS,
@@ -151,24 +151,14 @@ class MixtureCheat:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_weights", tuple(p for p, _, _ in comps))
         object.__setattr__(self, "_preps", tuple(preps))
 
     def prepare(self, rng) -> Preparation:
-        u = rng.random()
-        acc = 0.0
-        last = len(self.components) - 1
-        for i in range(last):
-            p = self.components[i][0]
-            if p > 0.0:
-                acc += p
-                if u < acc:
-                    return self._preps[i]
-        return self._preps[last]
+        return self._preps[sample_outcome(self._weights, rng)]
 
     def adjudicate(self, prep: Preparation, guess: str, alice_system, rng):
         return _verdict_for(guess, prep.claim), None
-
-
 
 
 def _nearest_trine(state: PureState) -> str:
@@ -286,7 +276,7 @@ class StoredRandomGuess(NamedTuple):
     stored: object
 
 
-_BOB_KINDS = ("honest_optimal", "random_guess", "fixed_guess", "custom_povm")
+_BOB_KINDS = ("honest_optimal", "random_guess")
 
 
 @dataclass(frozen=True)
@@ -295,26 +285,12 @@ class BobStrategy:
     protocol (store the qubit, guess uniformly) for every kind."""
 
     kind: str = "honest_optimal"
-    fixed_label: Optional[str] = None
-    povm: Optional[Povm] = None
 
     def __post_init__(self):
         if self.kind not in _BOB_KINDS:
             raise ValueError(f"unknown receiver kind {self.kind!r}")
-        if self.kind == "fixed_guess" and self.fixed_label not in LABEL_INDEX:
-            raise ValueError(f"fixed_guess needs a trine label, got {self.fixed_label!r}")
-        if self.kind == "custom_povm":
-            if self.povm is None:
-                raise ValueError("custom_povm needs a Povm")
-            for lab in self.povm.labels:
-                if lab not in LABEL_INDEX:
-                    raise ValueError(f"receiver POVM labels must be trine labels, got {lab!r}")
-        if self.kind == "honest_optimal":
-            object.__setattr__(self, "_povm", optimal_povm())
-        elif self.kind == "custom_povm":
-            object.__setattr__(self, "_povm", self.povm)
-        else:
-            object.__setattr__(self, "_povm", None)
+        povm = optimal_povm() if self.kind == "honest_optimal" else None
+        object.__setattr__(self, "_povm", povm)
 
     @classmethod
     def honest_optimal(cls) -> "BobStrategy":
@@ -324,20 +300,10 @@ class BobStrategy:
     def random_guess(cls) -> "BobStrategy":
         return cls("random_guess")
 
-    @classmethod
-    def fixed_guess(cls, label: str) -> "BobStrategy":
-        return cls("fixed_guess", fixed_label=label)
-
-    @classmethod
-    def with_povm(cls, povm: Povm) -> "BobStrategy":
-        return cls("custom_povm", povm=povm)
-
     def measurement_povm(self) -> Optional[Povm]:
         return self._povm
 
     def blind_guess(self, rng) -> str:
-        if self.kind == "fixed_guess":
-            return self.fixed_label
         return uniform_label(rng)
 
     def act(self, received, kind: RoundKind, rng):
@@ -348,12 +314,6 @@ class BobStrategy:
             return MeasuredGuess(self.blind_guess(rng))
         probs = born_probabilities(received, povm)
         return MeasuredGuess(povm.labels[sample_outcome(probs, rng)])
-
-
-def bob_act(strategy: BobStrategy, received, kind: RoundKind, rng):
-    """Receiver's move on the incoming qubit: measure-and-guess in a normal
-    round, store-and-random-guess in a checking round."""
-    return strategy.act(received, kind, rng)
 
 
 def posterior_unmeasured(r: float, guess_matches_claim: bool) -> float:

@@ -1,4 +1,4 @@
-"""Acceptance suite: ten numbered criteria, one printed PASS/FAIL line each.
+"""Acceptance suite: eleven numbered criteria, one printed PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute. Statistical criteria use 4-sigma bars on seeded runs;
@@ -21,11 +21,13 @@ from trinegamble.analytics import (
 from trinegamble.cli import check_order_invariance, check_steering_identity
 from trinegamble.montecarlo import SimConfig, compare_stats, enumerate_exact, simulate
 from trinegamble.protocol import ProtocolParams
-from trinegamble.qubit import born_probabilities, optimal_povm, trine_states
+from trinegamble.qubit import TwoQubitState, born_probabilities, optimal_povm, trine_states
 from trinegamble.strategies import (
     BobStrategy,
+    EntangledAlice,
     FixedStateCheat,
     HonestAlice,
+    in_plane_state,
     posterior_unmeasured,
     random_entangled_policy,
 )
@@ -85,10 +87,10 @@ def test_criterion_02_fair_game_without_checks(million_rounds_no_checks):
 
 
 def test_criterion_03_honest_gain_equals_checking_rate():
-    exact = enumerate_exact(HonestAlice(), MAIN).g_alice
-    exact_err = abs(exact - MAIN.r)
+    exact = enumerate_exact(HonestAlice(), MAIN)
+    exact_err = abs(exact.g_alice - MAIN.r)
     result = _sim(HonestAlice(), 1_000_000, seed=103, params=MAIN)
-    z = compare_stats(result, MAIN.r)
+    z = compare_stats(result, exact)
     ok = exact_err < 1e-15 and abs(z) < 4.0
     _criterion(3, ok,
                f"enumeration - r = {exact_err:.2e} (tol 1e-15); simulated mean "
@@ -108,7 +110,7 @@ def test_criterion_04_cheat_gain_curve():
         alice = FixedStateCheat.from_angle(theta, "a")
         exact = enumerate_exact(alice, MAIN)
         result = _sim(alice, 100_000, seed=400 + i, params=MAIN)
-        spot_zs.append(compare_stats(result, exact.g_alice))
+        spot_zs.append(compare_stats(result, exact))
     ok = worst < 1e-12 and all(abs(z) < 4.0 for z in spot_zs)
     _criterion(4, ok,
                f"max |closed form - enumeration| = {worst:.2e} over 100 grid "
@@ -213,3 +215,29 @@ def test_criterion_10_cross_trine_accusation_rate():
     _criterion(10, ok,
                f"accused on {rate:.4f} of {checks} checking rounds, expected "
                f"0.75 within {bar:.4f}")
+
+
+def test_criterion_11_closed_form_entangled_attack():
+    """An entangled sender beats the honest gain r: checking bounds
+    separable cheats only. She shares (|00> + |11>)/sqrt(2); on guess g she
+    measures in the in-plane basis at angle(g) + pi/2 and claims the trine
+    state at angle(g) + 2pi/3 on outcome 0, at angle(g) - 2pi/3 on
+    outcome 1. Her exact gain is 2 - r(R+2)(2 - sqrt 3)/4."""
+    angle = {"a": 0.0, "b": 2.0 * math.pi / 3.0, "c": -2.0 * math.pi / 3.0}
+    after = {"a": "b", "b": "c", "c": "a"}  # the trine state 2pi/3 further on
+    before = {lab: prev for prev, lab in after.items()}
+    basis = {}
+    for g in angle:
+        u = in_plane_state(angle[g] + math.pi / 2.0)
+        basis[g] = (u, u.orthogonal())
+    claims = {(g, j): (after if j == 0 else before)[g] for g in angle for j in (0, 1)}
+    alice = EntangledAlice(TwoQubitState.phi_plus(), basis, claims)
+    want = 2.0 - MAIN.r * (MAIN.R + 2.0) * (2.0 - math.sqrt(3.0)) / 4.0
+    result = _sim(alice, 200_000, seed=111, params=MAIN)
+    z = (result.mean_gain_alice - want) / result.stderr
+    margin = (result.mean_gain_alice - MAIN.r) / result.stderr
+    ok = abs(want - 0.660254) < 1e-6 and abs(z) < 4.0 and margin > 4.0
+    _criterion(11, ok,
+               f"mean gain {result.mean_gain_alice:.4f} +- {result.stderr:.4f} vs "
+               f"closed form {want:.6f} (z = {z:+.2f}); {margin:.1f} stderr above "
+               f"r = {MAIN.r} at (r, R) = (0.05, 398)")

@@ -7,6 +7,7 @@ import math
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,10 +291,25 @@ def test_deterministic_divergence_exits_two(monkeypatch, capsys):
                          config.rounds, 0, 0, 0, False)
 
     monkeypatch.setattr("trinegamble.cli.simulate", fake_simulate)
-    code, _, err = _run(capsys, ["sweep-theta", "--points", "2", "--rounds", "50",
-                                 "--seed", "1"])
+    # at r = 0 the orthogonal cheat's table is degenerate: every round pays +2
+    code, _, err = _run(capsys, ["sweep-theta", "--theta-list", repr(math.pi),
+                                 "--rate-r", "0", "--rounds", "50", "--seed", "1"])
     assert code == 2
     assert "invariant failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-r", "--r-list", "0.05", "--rounds", "1"],
+    *(["sweep-r", "--r-list", "0.05", "--rounds", "4", "--seed", str(s)] for s in (11, 24, 29)),
+    ["sweep-theta", "--theta-list", repr(math.pi), "--rate-r", "0", "--rounds", "100"],
+])
+def test_zero_spread_runs_are_not_divergences(capsys, argv):
+    # equal payoffs by chance, or a game whose exact table is degenerate
+    # up to rounding residue: neither is an invariant failure
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    _, rows = _parse_csv(out)
+    assert all(math.isfinite(float(row[-1])) for row in rows)
 
 
 def test_protocol_fault_exits_three(monkeypatch, capsys):
@@ -304,6 +320,32 @@ def test_protocol_fault_exits_three(monkeypatch, capsys):
     code, _, err = _run(capsys, ["simulate", "--rounds", "10", "--seed", "1"])
     assert code == 3
     assert "protocol abort (alice)" in err
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    joined = section.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in joined.splitlines()
+            if line.strip().startswith("trinegamble ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, err = _run(capsys, argv)
+        # the monitor example is meant to trip
+        if "--abort-threshold" in argv:
+            header, rows = _parse_csv(out)
+            assert code == 3 and dict(zip(header, rows[0]))["aborted"] == "true", err
+        else:
+            assert code == 0, f"{argv}: {err}"
 
 
 # ---------------------------------------------------------------------------

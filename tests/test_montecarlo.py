@@ -22,7 +22,7 @@ from trinegamble.montecarlo import (
     enumerate_exact,
     simulate,
 )
-from trinegamble.protocol import ProtocolParams, run_round
+from trinegamble.protocol import CheckResult, ProtocolParams, RoundResult, run_round
 from trinegamble.strategies import (
     BobStrategy,
     FixedStateCheat,
@@ -32,6 +32,8 @@ from trinegamble.strategies import (
     singlet_mirror,
 )
 from trinegamble.qubit import trine_states
+
+from conftest import tally
 
 TRINE = trine_states()
 PARAMS = ProtocolParams(r=0.05, R=398.0)
@@ -208,7 +210,7 @@ def test_exact_rejects_entangled_senders():
 def _z_for(alice, params, rounds, seed):
     result = simulate(SimConfig(rounds=rounds, seed=seed, params=params, alice=alice,
                                 bob=BobStrategy.honest_optimal()))
-    return compare_stats(result, enumerate_exact(alice, params).g_alice)
+    return compare_stats(result, enumerate_exact(alice, params))
 
 
 def test_simulated_honest_gain_agrees_with_oracle():
@@ -253,7 +255,7 @@ def test_zero_angle_cheat_plays_like_conditioned_honest():
 def test_z_scores_are_calibrated_across_seeds():
     """~1 in 16k runs should land outside 4 sigma; 100 tries all inside is
     the cheap but discriminating version."""
-    exact = enumerate_exact(HonestAlice(), PARAMS).g_alice
+    exact = enumerate_exact(HonestAlice(), PARAMS)
     inside = 0
     for seed in range(100):
         result = simulate(_config(HonestAlice(), 2_000, seed=seed))
@@ -266,15 +268,31 @@ def test_z_scores_are_calibrated_across_seeds():
 # zero-variance guard
 
 
+def _certain(payoff):
+    """Exact table of a game whose every round pays the same."""
+    return ExactExpectation(payoff, (("certain", 1.0, payoff),))
+
+
 def test_zero_variance_match_is_fine():
     res = SimResult(10, 2.0, -2.0, 0.0, 0, 10, 0, 0, False)
-    assert compare_stats(res, 2.0) == 0.0
+    assert compare_stats(res, _certain(2.0)) == 0.0
 
 
 def test_zero_variance_mismatch_raises():
     res = SimResult(10, 2.0, -2.0, 0.0, 0, 10, 0, 0, False)
     with pytest.raises(DeterministicDivergence):
-        compare_stats(res, 1.9)
+        compare_stats(res, _certain(1.9))
+
+
+def test_zero_spread_run_of_a_random_game_uses_the_table_spread():
+    # one round has no sample spread, but the game itself has plenty
+    exact = enumerate_exact(HonestAlice(), PARAMS)
+    result = simulate(_config(HonestAlice(), 1, seed=0))
+    assert result.stderr == 0.0
+    var = math.fsum(p * (x - exact.g_alice) ** 2 for _, p, x in exact.branch_table)
+    want = (result.mean_gain_alice - exact.g_alice) / math.sqrt(var)
+    assert compare_stats(result, exact) == want
+    assert abs(want) < 4.0
 
 
 def test_orthogonal_cheat_at_zero_rate_is_a_real_zero_variance_run():
@@ -284,10 +302,11 @@ def test_orthogonal_cheat_at_zero_rate_is_a_real_zero_variance_run():
     alice = FixedStateCheat.from_angle(math.pi, "a")
     result = simulate(_config(alice, 5_000, seed=23, params=params))
     assert result.mean_gain_alice == 2.0 and result.stderr == 0.0
-    assert compare_stats(result, 2.0) == 0.0
-    # the enumeration keeps fp crumbs of the measure-zero guess branch
+    # the enumeration keeps fp crumbs of the measure-zero guess branch,
+    # which must not read as a divergence
     exact = enumerate_exact(alice, params)
     assert exact.g_alice == pytest.approx(2.0, abs=1e-12)
+    assert compare_stats(result, exact) == 0.0
 
 
 def test_single_round_has_no_spread_estimate():
@@ -314,6 +333,59 @@ def test_honest_sender_survives_the_monitor():
     result = simulate(_config(HonestAlice(), 20_000, seed=31, params=params))
     assert not result.aborted and result.rounds == 20_000
     assert result.accuse_count == 0
+    # a monitor that never trips leaves no trace on the run
+    unmonitored = simulate(_config(HonestAlice(), 20_000, seed=31,
+                                   params=ProtocolParams(r=0.5, R=398.0), workers=2))
+    assert result == unmonitored
+
+
+def test_monitor_trips_at_the_first_round_over_threshold():
+    params = ProtocolParams(r=0.3, R=398.0, abort_threshold=0.2, abort_min_checks=25)
+    alice = FixedStateCheat.from_angle(1.0, "b")  # accused on about 23% of checks
+    for seed in range(40, 46):
+        transcripts = []
+        result = simulate(_config(alice, 2_000, seed=seed, params=params),
+                          transcript_sink=transcripts.append)
+        checks = accs = 0
+        trip = None
+        for i, t in enumerate(transcripts, 1):
+            if t.check is not None:
+                checks += 1
+                accs += t.check is CheckResult.ACCUSE
+                if trip is None and checks >= 25 and accs / checks > 0.2:
+                    trip = i
+        # the sink sees the tripping round, and nothing after it
+        assert trip == (len(transcripts) if result.aborted else None)
+        assert result.rounds == len(transcripts)
+        assert tally(transcripts)[:5] == (result.rounds, result.win_count, result.lose_count,
+                                          result.check_count, result.accuse_count)
+
+
+def test_driver_counts_every_verdict_once():
+    transcripts = []
+    result = simulate(_config(HonestAlice(), 3_000, seed=33,
+                              params=ProtocolParams(r=0.3, R=398.0)),
+                      transcript_sink=transcripts.append)
+    counts = tally(transcripts)
+    assert (result.rounds, result.win_count, result.lose_count) == counts[:3] == (3_000, counts.wins, 3_000 - counts.wins)
+    assert (result.check_count, result.accuse_count) == (counts.checks, 0)
+    assert result.mean_gain_alice == pytest.approx(counts.alice_total / 3_000, abs=1e-12)
+    assert counts.alice_total == -counts.bob_total
+
+
+def test_driver_counts_the_verdict_of_an_accused_round():
+    # the penalty replaces the stake, but the round still counts as won or lost
+    transcripts = []
+    result = simulate(_config(FixedStateCheat(TRINE["b"], claim="a"), 2_000, seed=34,
+                              params=ProtocolParams(r=0.5, R=398.0)),
+                      transcript_sink=transcripts.append)
+    accused = [t for t in transcripts if t.check is CheckResult.ACCUSE]
+    assert {t.verdict.result for t in accused} == {RoundResult.BOB_WON, RoundResult.BOB_LOST}
+    assert all(t.alice_delta == -398.0 for t in accused)
+    counts = tally(transcripts)
+    assert (result.win_count, result.lose_count) == (counts.wins, counts.losses)
+    assert result.win_count + result.lose_count == result.rounds == 2_000
+    assert (result.check_count, result.accuse_count) == (counts.checks, len(accused))
 
 
 def test_entangled_sender_through_the_driver():

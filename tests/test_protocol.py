@@ -1,4 +1,4 @@
-"""Round engine: settlement table, ledger counting, faults, monitors.
+"""Round engine: settlement table, round counting, faults, monitors.
 
 Statistical assertions use 4-sigma binomial bars on seeded streams, so
 they are deterministic in practice; everything else is exact.
@@ -11,13 +11,11 @@ import pytest
 
 from trinegamble.protocol import (
     CheckResult,
-    Ledger,
     MonitorDecision,
     ProtocolFault,
     ProtocolParams,
     RoundKind,
     RoundResult,
-    RoundTranscript,
     Verdict,
     abort_monitor,
     run_round,
@@ -34,7 +32,7 @@ from trinegamble.strategies import (
 )
 from trinegamble.qubit import trine_states
 
-from conftest import four_sigma
+from conftest import four_sigma, tally
 
 PARAMS = ProtocolParams(r=0.1, R=398.0)
 
@@ -107,63 +105,34 @@ def test_params_domain_checks():
 
 
 # ---------------------------------------------------------------------------
-# ledger counting
-
-
-def _transcript(kind, result, check, deltas):
-    return RoundTranscript(kind, "stub", "a", Verdict(result, "a"), check,
-                           deltas[0], deltas[1])
-
-
-def test_ledger_counts_every_verdict_once():
-    led = Ledger()
-    led.update(_transcript(RoundKind.NORMAL, RoundResult.BOB_WON, None, (-1.0, 1.0)))
-    led.update(_transcript(RoundKind.NORMAL, RoundResult.BOB_LOST, None, (2.0, -2.0)))
-    led.update(_transcript(RoundKind.CHECKING, RoundResult.BOB_WON, CheckResult.PASS, (-1.0, 1.0)))
-    assert (led.rounds, led.wins, led.losses) == (3, 2, 1)
-    assert (led.checks, led.accusations) == (1, 0)
-    assert led.alice_total == 0.0 and led.bob_total == 0.0
-
-
-def test_ledger_accused_round_still_counts_its_verdict():
-    led = Ledger()
-    led.update(_transcript(RoundKind.CHECKING, RoundResult.BOB_LOST,
-                           CheckResult.ACCUSE, (-398.0, 398.0)))
-    assert (led.rounds, led.wins, led.losses) == (1, 0, 1)
-    assert (led.checks, led.accusations) == (1, 1)
-    assert led.alice_total == -398.0 and led.bob_total == 398.0
-
-
-# ---------------------------------------------------------------------------
 # abort monitor
 
 
 def test_monitor_disabled_by_default():
-    led = Ledger(checks=10, accusations=10)
-    assert abort_monitor(led, PARAMS) is MonitorDecision.CONTINUE
+    assert abort_monitor(10, 10, PARAMS) is MonitorDecision.CONTINUE
 
 
 def test_monitor_frozen_examples():
     params = ProtocolParams(r=0.1, R=398.0, abort_threshold=0.25)
-    assert abort_monitor(Ledger(checks=1000, accusations=0), params) is MonitorDecision.CONTINUE
-    assert abort_monitor(Ledger(checks=100, accusations=50), params) is MonitorDecision.ABORT
+    assert abort_monitor(1000, 0, params) is MonitorDecision.CONTINUE
+    assert abort_monitor(100, 50, params) is MonitorDecision.ABORT
 
 
 def test_monitor_threshold_is_strict():
     params = ProtocolParams(r=0.1, R=398.0, abort_threshold=0.5)
-    assert abort_monitor(Ledger(checks=100, accusations=50), params) is MonitorDecision.CONTINUE
-    assert abort_monitor(Ledger(checks=100, accusations=51), params) is MonitorDecision.ABORT
+    assert abort_monitor(100, 50, params) is MonitorDecision.CONTINUE
+    assert abort_monitor(100, 51, params) is MonitorDecision.ABORT
 
 
 def test_monitor_waits_for_minimum_checks():
     params = ProtocolParams(r=0.1, R=398.0, abort_threshold=0.25, abort_min_checks=200)
-    assert abort_monitor(Ledger(checks=100, accusations=50), params) is MonitorDecision.CONTINUE
-    assert abort_monitor(Ledger(checks=200, accusations=100), params) is MonitorDecision.ABORT
+    assert abort_monitor(100, 50, params) is MonitorDecision.CONTINUE
+    assert abort_monitor(200, 100, params) is MonitorDecision.ABORT
 
 
 def test_monitor_no_checks_yet():
     params = ProtocolParams(r=0.1, R=398.0, abort_threshold=0.0)
-    assert abort_monitor(Ledger(), params) is MonitorDecision.CONTINUE
+    assert abort_monitor(0, 0, params) is MonitorDecision.CONTINUE
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +141,7 @@ def test_monitor_no_checks_yet():
 
 def _play(alice, bob, params, n, seed=0):
     rng = random.Random(seed)
-    led = Ledger()
-    for _ in range(n):
-        led.update(run_round(alice, bob, params, rng))
-    return led
+    return tally(run_round(alice, bob, params, rng) for _ in range(n))
 
 
 def test_zero_rate_means_no_checking_rounds():
