@@ -344,19 +344,24 @@ def born_probabilities(state, povm: Povm) -> tuple:
     return tuple(probs)
 
 
+def _require_distribution(probs) -> None:
+    total = 0.0
+    for p in probs:
+        if p < -ATOL:
+            raise ValueError(f"negative probability {p!r}")
+        total += p
+    # a NaN entry makes the total NaN, which fails this comparison
+    if not abs(total - 1.0) <= ATOL:
+        raise ValueError(f"probabilities must sum to 1, got {total!r}")
+
+
 def sample_outcome(probs, rng) -> int:
     """Sample an index from a probability vector.
 
     Fixed-order cumulative intervals over one uniform draw; any rounding
     residue lands on the last index, zero-probability entries never fire.
     """
-    total = 0.0
-    for p in probs:
-        if p < -ATOL:
-            raise ValueError(f"negative probability {p!r}")
-        total += p
-    if abs(total - 1.0) > ATOL:
-        raise ValueError(f"probabilities must sum to 1, got {total!r}")
+    _require_distribution(probs)
     u = rng.random()
     acc = 0.0
     last = len(probs) - 1
@@ -367,6 +372,20 @@ def sample_outcome(probs, rng) -> int:
             if u < acc:
                 return k
     return last
+
+
+def outcome_bounds(probs) -> tuple:
+    """The upper ends of sample_outcome's intervals for every index but the
+    last, accumulated by the same loop: sample_outcome(probs, rng) returns
+    the number of bounds at or below the uniform it draws."""
+    _require_distribution(probs)
+    bounds = []
+    acc = 0.0
+    for p in probs[:-1]:
+        if p > 0.0:
+            acc += p
+        bounds.append(acc)
+    return tuple(bounds)
 
 
 def check_fail_probability(state, claimed: str) -> float:

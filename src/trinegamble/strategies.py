@@ -140,15 +140,16 @@ class MixtureCheat:
         total = 0.0
         preps = []
         for i, (p, s, c) in enumerate(comps):
-            if p < 0.0:
-                raise ValueError(f"component probability must be nonnegative, got {p!r}")
+            if not 0.0 <= p < math.inf:
+                raise ValueError(
+                    f"component probability must be finite and nonnegative, got {p!r}")
             if c not in LABEL_INDEX:
                 raise ValueError(f"unknown trine label {c!r}")
             if not isinstance(s, PureState):
                 raise ValueError("mixture components must carry PureState entries")
             total += p
             preps.append(Preparation(f"mix:{i}:claim={c}", s, None, c))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"component probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_weights", tuple(p for p, _, _ in comps))

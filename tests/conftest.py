@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from trinegamble.protocol import CheckResult, RoundKind, RoundResult
-from trinegamble.qubit import PureState, TwoQubitState
+from trinegamble.qubit import LABELS, PureState, TwoQubitState
+from trinegamble.strategies import EntangledAlice, in_plane_state
 
 
 def four_sigma(p: float, n: int) -> float:
@@ -33,6 +34,20 @@ def random_pair(rng: np.random.Generator) -> TwoQubitState:
         complex(raw[0], raw[1]), complex(raw[2], raw[3]),
         complex(raw[4], raw[5]), complex(raw[6], raw[7]),
     )
+
+
+def closed_form_attack() -> EntangledAlice:
+    """The entangled attack with gain 2 - r(R+2)(2 - sqrt 3)/4: phi_plus, the
+    in-plane basis at angle(g) + pi/2, and the claim 2pi/3 on from g on
+    outcome 0, 2pi/3 back on outcome 1."""
+    after = {"a": "b", "b": "c", "c": "a"}
+    before = {lab: prev for prev, lab in after.items()}
+    basis = {}
+    for g, angle in zip(LABELS, (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0)):
+        u = in_plane_state(angle + math.pi / 2.0)
+        basis[g] = (u, u.orthogonal())
+    claims = {(g, j): (after if j == 0 else before)[g] for g in LABELS for j in (0, 1)}
+    return EntangledAlice(TwoQubitState.phi_plus(), basis, claims)
 
 
 class Tally(NamedTuple):

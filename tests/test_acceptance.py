@@ -2,9 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute. Statistical criteria use 4-sigma bars on seeded runs;
-exact criteria state their tolerance inline. Total runtime is dominated by
-criterion 9 (ten million entangled rounds) and stays under five minutes on
-one core.
+exact criteria state their tolerance inline. Criterion 9 plays ten million
+entangled rounds, which the branch-table engine does in a few seconds; the
+million-round separable runs of criteria 1, 3 and 7, played round by
+round, take the most time. The module runs in under a minute on one core.
 """
 
 import math

@@ -176,6 +176,7 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     ["sweep-r", "--k", "1.5", "--rounds", "10"],
     ["no-such-command"],
     [],
+    ["simulate", "--alice", "mixture:nan:a:a", "--rounds", "1000", "--seed", "1"],
 ])
 def test_usage_and_validation_errors(capsys, argv):
     code, _, err = _run(capsys, argv)

@@ -8,6 +8,7 @@ tell the same story.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from trinegamble.analytics import gain_total
@@ -29,11 +30,12 @@ from trinegamble.strategies import (
     HonestAlice,
     MixtureCheat,
     aligned_pair,
+    random_entangled_policy,
     singlet_mirror,
 )
-from trinegamble.qubit import trine_states
+from trinegamble.qubit import LABELS, trine_states
 
-from conftest import tally
+from conftest import closed_form_attack, tally
 
 TRINE = trine_states()
 PARAMS = ProtocolParams(r=0.05, R=398.0)
@@ -77,8 +79,8 @@ def test_different_seeds_diverge():
 
 def test_round_rows_regenerate_from_any_offset():
     whole = _round_rows(99, 0, 300)
-    assert whole[120:] == _round_rows(99, 120, 180)
-    assert whole[:50] == _round_rows(99, 0, 50)
+    assert np.array_equal(whole[120:], _round_rows(99, 120, 180))
+    assert np.array_equal(whole[:50], _round_rows(99, 0, 50))
     assert all(len(row) == DRAWS_PER_ROUND for row in whole)
 
 
@@ -151,7 +153,6 @@ def test_exact_honest_gain_is_the_checking_rate():
 
 
 def test_exact_fixed_cheat_matches_closed_form():
-    import numpy as np
     for r, R in ((0.05, 398.0), (0.01, 1998.0)):
         params = ProtocolParams(r=r, R=R)
         for theta in np.linspace(0.0, math.pi, 17):
@@ -198,9 +199,68 @@ def test_exact_expectation_rejects_bad_tables():
         ExactExpectation(0.0, (("only", 0.5, 1.0),))
 
 
-def test_exact_rejects_entangled_senders():
+def _joint_gain(alice, r, R):
+    """Exact gain from the joint probabilities |(<u| x <t|) psi|^2 of the
+    sender's outcome u and a projection t of the sent qubit, which do not
+    depend on who measures first."""
+    psi = alice.psi
+    m = np.array([[psi.c00, psi.c01], [psi.c10, psi.c11]])
+
+    def joint(u, t):
+        return abs(np.array([u.a0, u.a1]).conj() @ m @ np.array([t.a0, t.a1]).conj()) ** 2
+
+    normal = checking = 0.0
+    for g in LABELS:
+        for j, u in enumerate(alice.basis_policy[g]):
+            claim = alice.claim_policy[(g, j)]
+            stake = -1.0 if claim == g else 2.0
+            normal += (2.0 / 3.0) * joint(u, TRINE[g]) * stake
+            passed = joint(u, TRINE[claim])
+            failed = joint(u, TRINE[claim].orthogonal())
+            checking += (passed * stake - failed * R) / 3.0
+    return (1.0 - r) * normal + r * checking
+
+
+def test_exact_entangled_attack_matches_closed_form():
+    for r, R in ((0.05, 398.0), (0.01, 1998.0)):
+        exact = enumerate_exact(closed_form_attack(), ProtocolParams(r=r, R=R))
+        assert abs(exact.g_alice - (2.0 - r * (R + 2.0) * (2.0 - math.sqrt(3.0)) / 4.0)) < 1e-12
+
+
+def test_exact_entangled_matches_joint_probabilities():
+    senders = [aligned_pair(), singlet_mirror()]
+    senders += [random_entangled_policy(np.random.default_rng(500 + i)) for i in range(20)]
+    for params in (PARAMS, ProtocolParams(r=0.5, R=7.0)):
+        for alice in senders:
+            exact = enumerate_exact(alice, params)
+            assert abs(exact.g_alice - _joint_gain(alice, params.r, params.R)) < 1e-12
+
+
+def test_exact_entangled_table_is_a_distribution():
+    exact = enumerate_exact(random_entangled_policy(np.random.default_rng(3)), PARAMS)
+    names = [name for name, _, _ in exact.branch_table]
+    assert len(names) == len(set(names)) == 18
+    assert names[0] == "entangled|normal|guess=a|j=0"
+    assert names[-1] == "entangled|checking|guess=c|j=1|accuse"
+    assert all(prob >= 0.0 for _, prob, _ in exact.branch_table)
+    assert abs(math.fsum(p for _, p, _ in exact.branch_table) - 1.0) < 1e-12
+    normal = math.fsum(p for name, p, _ in exact.branch_table if "|normal|" in name)
+    assert abs(normal - (1.0 - PARAMS.r)) < 1e-12
+
+
+def test_exact_entangled_rejects_noise():
+    with pytest.raises(ValueError, match="noise"):
+        enumerate_exact(singlet_mirror(), ProtocolParams(r=0.05, R=398.0, noise_lambda=0.1))
+
+
+def test_exact_rejects_unknown_senders():
     with pytest.raises(ValueError):
-        enumerate_exact(singlet_mirror(), PARAMS)
+        enumerate_exact(object(), PARAMS)
+
+
+def test_exact_expectation_rejects_a_nan_table():
+    with pytest.raises(ValueError):
+        ExactExpectation(0.0, (("a", float("nan"), 1.0), ("b", 1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------

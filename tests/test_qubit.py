@@ -30,6 +30,7 @@ from trinegamble.qubit import (
     mixture_density,
     optimal_povm,
     partial_trace,
+    outcome_bounds,
     project_check,
     remote_povm_branches,
     remote_povm_collapse,
@@ -277,6 +278,30 @@ def test_sample_outcome_validates_input():
         sample_outcome((0.5, 0.4), r)
     with pytest.raises(ValueError):
         sample_outcome((-0.2, 1.2), r)
+    with pytest.raises(ValueError):
+        sample_outcome((float("nan"), 1.0), r)
+
+
+class _Uniform:
+    """An rng whose every draw is the one given value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_outcome_bounds_are_sample_outcomes_intervals():
+    # sample_outcome(probs) is the number of bounds at or below its uniform
+    for probs in ((0.3, 0.3, 0.4), (0.0, 1.0, 0.0), (0.5, 0.0, 0.5),
+                  (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)):
+        bounds = outcome_bounds(probs)
+        assert len(bounds) == len(probs) - 1
+        for u in (0.0, 0.1, 0.3, 0.5, 0.6, 2.0 / 3.0, 0.99, 1.0 - 2.0 ** -53, *bounds):
+            assert sample_outcome(probs, _Uniform(u)) == sum(b <= u for b in bounds)
+    with pytest.raises(ValueError):
+        outcome_bounds((0.5, float("nan"), 0.5))
 
 
 def test_uniform_label_spread():

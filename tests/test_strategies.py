@@ -142,6 +142,11 @@ def test_mixture_validation():
         MixtureCheat(((1.0, TRINE["a"], "d"),))
     with pytest.raises(ValueError):
         MixtureCheat(((1.0, "not a state", "a"),))
+    for weight in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            MixtureCheat(((weight, TRINE["a"], "a"),))
+        with pytest.raises(ValueError):
+            MixtureCheat(((weight, TRINE["a"], "a"), (1.0, TRINE["b"], "b")))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +338,8 @@ def test_parse_mixture():
 
 
 def test_parse_mixture_errors():
-    for bad in ("mixture:", "mixture:0.5:a", "mixture:x:a:a", "mixture:1.0:a:d"):
+    for bad in ("mixture:", "mixture:0.5:a", "mixture:x:a:a", "mixture:1.0:a:d",
+                "mixture:nan:a:a", "mixture:nan:a:a;1:b:b", "mixture:inf:a:a"):
         with pytest.raises(ValueError):
             parse_alice_spec(bad)
 
@@ -356,6 +362,31 @@ def test_parse_entangled_errors():
 def test_parse_unknown_sender():
     with pytest.raises(ValueError):
         parse_alice_spec("teleport")
+
+
+_NUMBER = st.one_of(st.floats().map(repr), st.sampled_from(["nan", "-inf", "1e999", "x", ""]))
+_LABEL = st.sampled_from(["a", "b", "c", "d", ""])
+_COMPONENT = st.tuples(_NUMBER, st.one_of(_LABEL, _NUMBER), _LABEL).map(":".join)
+_SPECS = st.one_of(
+    st.text(max_size=40),
+    st.lists(_COMPONENT, min_size=1, max_size=3).map(lambda cs: "mixture:" + ";".join(cs)),
+    st.tuples(_NUMBER, _LABEL).map(lambda t: f"fixed:theta_a={t[0]},claim={t[1]}"),
+    st.integers(-3, 2 ** 70).map(lambda n: f"entangled:random:{n}"),
+    st.text(max_size=20).map(lambda t: "entangled:" + t),
+)
+
+
+@given(_SPECS)
+def test_any_sender_spec_parses_or_raises_value_error(spec):
+    try:
+        alice = parse_alice_spec(spec)
+    except ValueError:
+        return
+    assert hasattr(alice, "prepare") and hasattr(alice, "adjudicate")
+    if isinstance(alice, MixtureCheat):
+        weights = [p for p, _, _ in alice.components]
+        assert all(math.isfinite(p) and p >= 0.0 for p in weights)
+        assert abs(math.fsum(weights) - 1.0) <= 1e-9
 
 
 def test_parse_bob():
