@@ -54,8 +54,8 @@ def _check_rate(r: float) -> float:
 
 def _check_penalty(R: float) -> float:
     R = float(R)
-    if not R > 0.0:
-        raise ValueError(f"penalty must be positive, got {R!r}")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"penalty must be positive and finite, got {R!r}")
     return R
 
 

@@ -319,7 +319,16 @@ def cmd_simulate(args) -> int:
     )
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as sink_file:
-            result = simulate(config, transcript_sink=lambda t: sink_file.write(transcript_line(t) + "\n"))
+            # a run's rounds take few distinct transcripts: render each line once
+            lines = {}
+
+            def sink(t):
+                line = lines.get(t)
+                if line is None:
+                    line = lines[t] = transcript_line(t) + "\n"
+                sink_file.write(line)
+
+            result = simulate(config, transcript_sink=sink)
     else:
         result = simulate(config)
     _write_rows([result.to_record()], SIM_COLUMNS, args.format, args.output)
@@ -524,6 +533,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DeterministicDivergence as exc:

@@ -20,6 +20,19 @@ right, so the same rows give the same totals, bit for bit. Every other
 run takes the scalar loop. Compiled against the honest receiver, the same
 table is the exact oracle's answer for entangled senders.
 
+The scalar loop computes each per-branch value once per run, not once
+per round: the channel's output for each prepared state
+(protocol.received_state) and the honest receiver's POVM probabilities for
+each received state (qubit.cached_born_probabilities) are kept on the
+immutable state objects, and the CLI renders each distinct transcript line
+once. They are pure functions of the state, the noise strength and the
+POVM, computed by the same code as before, and every round still draws the
+same uniforms in the same order, so the totals are bit-identical to
+computing them afresh each round. The scalar loop turns its rows into
+Python floats _SCALAR_CHUNK rows at a time, about a megabyte of them; the
+table path reads _CHUNK rows at a time. Either way the rows, and their
+order, are the same.
+
 Abort monitoring and transcript streaming are inherently sequential (the
 monitor reads the running counts in round order), so those runs play in
 one process regardless of the configured worker count; identical per-round
@@ -43,13 +56,13 @@ from .protocol import (
     RoundKind,
     RoundResult,
     abort_monitor,
+    received_state,
     run_round,
 )
 from .qubit import (
     LABELS,
     born_probabilities,
     check_fail_probability,
-    depolarize,
     local_measure_branches,
     optimal_povm,
     outcome_bounds,
@@ -60,6 +73,7 @@ from .strategies import BobStrategy, EntangledAlice, FixedStateCheat, HonestAlic
 
 DRAWS_PER_ROUND = 8
 _CHUNK = 1 << 16
+_SCALAR_CHUNK = 1 << 12
 # payoff variance (and mean gap) below which a branch table counts as
 # deterministic; zero-probability branches leave residue far below it
 _DEGENERATE_TOL = 1e-12
@@ -155,7 +169,7 @@ def _scalar_sums(alice, bob, params, seed, start, count, sink=None):
     aborted = False
     done = 0
     while done < count and not aborted:
-        n = min(_CHUNK, count - done)
+        n = min(_SCALAR_CHUNK, count - done)
         rows = _round_rows(seed, start + done, n).tolist()
         for row in rows:
             rng.row = row
@@ -344,8 +358,9 @@ def _table_sums(t: _BranchTable, seed, start, count):
 def _result_from_sums(n, s1, s2, wins, losses, checks, accs, aborted) -> SimResult:
     mean = s1 / n
     if n > 1:
-        var = max(0.0, (s2 - n * mean * mean) / (n - 1))
-        stderr = math.sqrt(var / n)
+        var = (s2 - n * mean * mean) / (n - 1)
+        # max() would turn a NaN variance into 0.0 and hide it
+        stderr = math.nan if math.isnan(var) else math.sqrt(max(0.0, var) / n)
     else:
         stderr = 0.0
     return SimResult(n, mean, -mean, stderr, wins, losses, checks, accs, bool(aborted))
@@ -429,7 +444,7 @@ def enumerate_exact(alice, params: ProtocolParams) -> ExactExpectation:
     lose = params.lose_payout
     rows = []
     for pc, state, claim, desc in comps:
-        eff = depolarize(state.density(), lam) if lam > 0.0 else state
+        eff = received_state(state, lam)
         probs = born_probabilities(eff, povm)
         w_normal = pc * (1.0 - r)
         for k, lab in enumerate(povm.labels):

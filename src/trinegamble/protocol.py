@@ -17,11 +17,21 @@ the modeled threat set.
 Strategies are duck-typed: the sender object provides prepare/adjudicate,
 the receiver object provides act, measurement_povm and blind_guess. The
 strategies module supplies the standard implementations.
+
+What the channel delivers for a prepared state is fixed for the run: it
+depends only on the state and the noise strength. received_state builds
+that depolarized density once per state object and keeps it on the state,
+and the honest receiver likewise keeps his POVM probabilities on the state
+he receives (qubit.cached_born_probabilities). Every round still draws its
+uniforms in the same order and compares them with the same numbers, which
+the same code computed once instead of once per round, so seeded output is
+bit-identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -102,8 +112,8 @@ class ProtocolParams:
     def __post_init__(self):
         if not 0.0 <= self.r < 1.0:
             raise ValueError(f"checking rate must lie in [0, 1), got {self.r!r}")
-        if not self.R > 0.0:
-            raise ValueError(f"penalty must be positive, got {self.R!r}")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"penalty must be positive and finite, got {self.R!r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"success probability must lie in (0, 1), got {self.p!r}")
         if not self.win_payout > 0.0:
@@ -163,6 +173,25 @@ def _validate_verdict(verdict, guess: str) -> None:
         raise ProtocolFault("alice", "verdict inconsistent with the announced claim")
 
 
+def received_state(wire, noise_lambda: float):
+    """What the receiver holds when the pure state wire is sent: wire itself
+    on a clean channel, otherwise its density after the depolarizing channel
+    of strength noise_lambda.
+
+    The density is built once per state object and kept on the (immutable)
+    state, in one slot holding the strength it belongs to; another strength
+    rebuilds and replaces it. Like qubit.cached_born_probabilities, the memo
+    cannot grow and dies with the state.
+    """
+    if noise_lambda == 0.0:
+        return wire
+    memo = getattr(wire, "_received", None)
+    if memo is None or memo[0] != noise_lambda:
+        memo = (noise_lambda, depolarize(wire.density(), noise_lambda))
+        object.__setattr__(wire, "_received", memo)
+    return memo[1]
+
+
 def run_round(alice, bob, params: ProtocolParams, rng) -> RoundTranscript:
     """Play one full round and return its transcript.
 
@@ -178,10 +207,7 @@ def run_round(alice, bob, params: ProtocolParams, rng) -> RoundTranscript:
     check: Optional[CheckResult] = None
 
     if wire is not None:
-        if params.noise_lambda > 0.0:
-            received = depolarize(wire.density(), params.noise_lambda)
-        else:
-            received = wire
+        received = received_state(wire, params.noise_lambda)
         kind = RoundKind.CHECKING if rng.random() < params.r else RoundKind.NORMAL
         act = bob.act(received, kind, rng)
         guess = act.guess

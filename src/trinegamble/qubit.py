@@ -344,6 +344,22 @@ def born_probabilities(state, povm: Povm) -> tuple:
     return tuple(probs)
 
 
+def cached_born_probabilities(state, povm: Povm) -> tuple:
+    """born_probabilities(state, povm), computed once per state object.
+
+    States are immutable, so the result is kept on the state itself, in one
+    slot holding the POVM it belongs to; asking with another POVM computes
+    and replaces it. The memo cannot grow and lives only as long as the
+    state, so a sender that makes a fresh state every round costs time, not
+    memory.
+    """
+    memo = getattr(state, "_born", None)
+    if memo is None or memo[0] is not povm:
+        memo = (povm, born_probabilities(state, povm))
+        object.__setattr__(state, "_born", memo)
+    return memo[1]
+
+
 def _require_distribution(probs) -> None:
     total = 0.0
     for p in probs:

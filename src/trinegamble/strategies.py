@@ -27,7 +27,7 @@ from .qubit import (
     Povm,
     PureState,
     TwoQubitState,
-    born_probabilities,
+    cached_born_probabilities,
     local_measure_branches,
     local_measure_collapse,
     optimal_povm,
@@ -313,7 +313,7 @@ class BobStrategy:
         povm = self._povm
         if povm is None:
             return MeasuredGuess(self.blind_guess(rng))
-        probs = born_probabilities(received, povm)
+        probs = cached_born_probabilities(received, povm)
         return MeasuredGuess(povm.labels[sample_outcome(probs, rng)])
 
 

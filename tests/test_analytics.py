@@ -108,6 +108,9 @@ def test_penalty_domain():
         gain_checking(1.0, 0.0)
     with pytest.raises(ValueError):
         gain_checking(1.0, -3.0)
+    for R in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            gain_total(1.0, 0.05, R)
     with pytest.raises(ValueError):
         optimal_cheat_angle(0.1, -1.0)
 

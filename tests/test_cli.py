@@ -177,11 +177,22 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     ["no-such-command"],
     [],
     ["simulate", "--alice", "mixture:nan:a:a", "--rounds", "1000", "--seed", "1"],
+    ["simulate", "--rounds", "100000", "--penalty-R", "inf", "--alice", "fixed:theta_a=1,claim=a"],
+    ["sweep-theta", "--theta-list", "1", "--rounds", "1000", "--penalty-R", "inf"],
+    ["analytic", "--theta-a", "1", "--rate-r", "0.05", "--penalty-R", "inf"],
 ])
 def test_usage_and_validation_errors(capsys, argv):
     code, _, err = _run(capsys, argv)
     assert code == 1
     assert "error:" in err.lower()
+
+
+@pytest.mark.parametrize("flag", ["--transcript", "--output"])
+def test_unopenable_output_path_exits_one(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "x.out"
+    code, _, err = _run(capsys, ["simulate", "--rounds", "10", "--seed", "1", flag, str(target)])
+    assert code == 1
+    assert err.splitlines()[-1].startswith("error: ") and str(target) in err
 
 
 # ---------------------------------------------------------------------------

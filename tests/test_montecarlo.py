@@ -18,6 +18,7 @@ from trinegamble.montecarlo import (
     ExactExpectation,
     SimConfig,
     SimResult,
+    _result_from_sums,
     _round_rows,
     compare_stats,
     enumerate_exact,
@@ -372,6 +373,12 @@ def test_orthogonal_cheat_at_zero_rate_is_a_real_zero_variance_run():
 def test_single_round_has_no_spread_estimate():
     result = simulate(_config(HonestAlice(), 1, seed=2))
     assert result.stderr == 0.0 and result.rounds == 1
+
+
+def test_a_nan_variance_is_not_reported_as_zero_spread():
+    # inf - inf: the totals carry no spread estimate, and stderr says so
+    result = _result_from_sums(2, math.inf, math.inf, 1, 1, 0, 0, False)
+    assert math.isnan(result.stderr)
 
 
 # ---------------------------------------------------------------------------

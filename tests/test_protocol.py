@@ -5,6 +5,7 @@ they are deterministic in practice; everything else is exact.
 """
 
 import json
+import math
 import random
 
 import pytest
@@ -94,6 +95,9 @@ def test_params_domain_checks():
         ProtocolParams(r=-0.1, R=10.0)
     with pytest.raises(ValueError):
         ProtocolParams(r=0.1, R=0.0)
+    for R in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolParams(r=0.1, R=R)
     with pytest.raises(ValueError):
         ProtocolParams(r=0.1, R=10.0, noise_lambda=1.5)
     with pytest.raises(ValueError):
