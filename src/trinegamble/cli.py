@@ -21,6 +21,7 @@ TRINEGAMBLE_SEED environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -97,22 +98,28 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_rows(rows, columns, fmt: str, output: str) -> None:
+@contextlib.contextmanager
+def _output_stream(output: str):
+    """The stream --output names, opened before any round is played, so
+    that a path that cannot be written fails before the work, not after."""
+    if output == "-":
+        yield sys.stdout
+        return
+    with open(output, "w", encoding="utf-8", newline="") as stream:
+        yield stream
+
+
+def _write_rows(rows, columns, fmt: str, stream) -> None:
     # str(float) is locale-independent in Python, so the CSV never grows
     # decimal commas regardless of the host locale.
-    stream = sys.stdout if output == "-" else open(output, "w", encoding="utf-8", newline="")
-    try:
-        if fmt == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_cell(row[c]) for c in columns])
-        else:
-            for row in rows:
-                stream.write(json.dumps({c: row[c] for c in columns}) + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_cell(row[c]) for c in columns])
+    else:
+        for row in rows:
+            stream.write(json.dumps({c: row[c] for c in columns}) + "\n")
 
 
 def _echo_config(command: str, pairs) -> None:
@@ -317,21 +324,25 @@ def cmd_simulate(args) -> int:
     config = SimConfig(
         rounds=args.rounds, seed=seed, params=params, alice=alice, bob=bob, workers=args.workers
     )
-    if args.transcript:
-        with open(args.transcript, "w", encoding="utf-8") as sink_file:
-            # a run's rounds take few distinct transcripts: render each line once
-            lines = {}
+    if (args.transcript and args.output != "-"
+            and os.path.realpath(args.transcript) == os.path.realpath(args.output)):
+        raise CliError("--transcript and --output name the same file")
+    with _output_stream(args.output) as stream:
+        if args.transcript:
+            with open(args.transcript, "w", encoding="utf-8") as sink_file:
+                # a run's rounds take few distinct transcripts: render each line once
+                lines = {}
 
-            def sink(t):
-                line = lines.get(t)
-                if line is None:
-                    line = lines[t] = transcript_line(t) + "\n"
-                sink_file.write(line)
+                def sink(t):
+                    line = lines.get(t)
+                    if line is None:
+                        line = lines[t] = transcript_line(t) + "\n"
+                    sink_file.write(line)
 
-            result = simulate(config, transcript_sink=sink)
-    else:
-        result = simulate(config)
-    _write_rows([result.to_record()], SIM_COLUMNS, args.format, args.output)
+                result = simulate(config, transcript_sink=sink)
+        else:
+            result = simulate(config)
+        _write_rows([result.to_record()], SIM_COLUMNS, args.format, stream)
     return 3 if result.aborted else 0
 
 
@@ -355,13 +366,21 @@ def cmd_analytic(args) -> int:
         "gain_checking": breakdown.g_checking,
         "gain_total": breakdown.g_total,
     }
-    _write_rows([row], tuple(row.keys()), args.format, args.output)
+    with _output_stream(args.output) as stream:
+        _write_rows([row], tuple(row.keys()), args.format, stream)
     return 0
 
 
 def _sweep_mc(alice, params, rounds, seed, workers):
     result = simulate(SimConfig(rounds=rounds, seed=seed, params=params, alice=alice, bob=parse_bob_spec("honest"), workers=workers))
     return result.mean_gain_alice, result.stderr, result
+
+
+def _check_sweep_seed(seed: int, rows: int) -> None:
+    # row i of a sweep plays seed + i, so the last row must still be a uint64
+    if not 0 <= seed <= 2 ** 64 - rows:
+        raise CliError(f"--seed must lie in [0, 2**64 - {rows}] so that every row's seed "
+                       f"(--seed + row index) is a uint64, got {seed}")
 
 
 def cmd_sweep_theta(args) -> int:
@@ -373,6 +392,7 @@ def cmd_sweep_theta(args) -> int:
             raise CliError("--points must be at least 2")
         thetas = [float(t) for t in np.linspace(0.0, math.pi, args.points)]
     params = ProtocolParams(r=args.rate_r, R=args.penalty_R)
+    _check_sweep_seed(seed, len(thetas))
     _echo_config(
         "sweep-theta",
         [
@@ -387,30 +407,33 @@ def cmd_sweep_theta(args) -> int:
             ("output", args.output),
         ],
     )
-    rows = []
-    for i, theta in enumerate(thetas):
-        alice = FixedStateCheat.from_angle(theta, "a")
-        exact = enumerate_exact(alice, params)
-        closed = gain_total(theta, args.rate_r, args.penalty_R).g_total
-        mc_mean, mc_stderr, result = _sweep_mc(alice, params, args.rounds, seed + i, args.workers)
-        z = compare_stats(result, exact)
-        rows.append(
-            {
-                "parameter": theta,
-                "analytic": closed,
-                "exact_oracle": exact.g_alice,
-                "mc_mean": mc_mean,
-                "mc_stderr": mc_stderr,
-                "z": z,
-            }
-        )
-    _write_rows(rows, SWEEP_THETA_COLUMNS, args.format, args.output)
+    with _output_stream(args.output) as stream:
+        rows = []
+        for i, theta in enumerate(thetas):
+            alice = FixedStateCheat.from_angle(theta, "a")
+            exact = enumerate_exact(alice, params)
+            closed = gain_total(theta, args.rate_r, args.penalty_R).g_total
+            mc_mean, mc_stderr, result = _sweep_mc(alice, params, args.rounds, seed + i, args.workers)
+            z = compare_stats(result, exact)
+            rows.append(
+                {
+                    "parameter": theta,
+                    "analytic": closed,
+                    "exact_oracle": exact.g_alice,
+                    "mc_mean": mc_mean,
+                    "mc_stderr": mc_stderr,
+                    "z": z,
+                }
+            )
+        _write_rows(rows, SWEEP_THETA_COLUMNS, args.format, stream)
     return 0
 
 
 def cmd_sweep_r(args) -> int:
     seed = _resolve_seed(args.seed)
     r_values = _parse_float_list(args.r_list, "--r-list")
+    games = [ProtocolParams(r=r, R=penalty_for_bias(r, args.k)) for r in r_values]
+    _check_sweep_seed(seed, len(games))
     _echo_config(
         "sweep-r",
         [
@@ -423,25 +446,24 @@ def cmd_sweep_r(args) -> int:
             ("output", args.output),
         ],
     )
-    rows = []
-    for i, r in enumerate(r_values):
-        R = penalty_for_bias(r, args.k)
-        params = ProtocolParams(r=r, R=R)
-        exact = enumerate_exact(HonestAlice(), params)
-        mc_mean, mc_stderr, result = _sweep_mc(HonestAlice(), params, args.rounds, seed + i, args.workers)
-        z = compare_stats(result, exact)
-        rows.append(
-            {
-                "parameter": r,
-                "penalty_R": R,
-                "analytic": r,
-                "exact_oracle": exact.g_alice,
-                "mc_mean": mc_mean,
-                "mc_stderr": mc_stderr,
-                "z": z,
-            }
-        )
-    _write_rows(rows, SWEEP_R_COLUMNS, args.format, args.output)
+    with _output_stream(args.output) as stream:
+        rows = []
+        for i, params in enumerate(games):
+            exact = enumerate_exact(HonestAlice(), params)
+            mc_mean, mc_stderr, result = _sweep_mc(HonestAlice(), params, args.rounds, seed + i, args.workers)
+            z = compare_stats(result, exact)
+            rows.append(
+                {
+                    "parameter": params.r,
+                    "penalty_R": params.R,
+                    "analytic": params.r,
+                    "exact_oracle": exact.g_alice,
+                    "mc_mean": mc_mean,
+                    "mc_stderr": mc_stderr,
+                    "z": z,
+                }
+            )
+        _write_rows(rows, SWEEP_R_COLUMNS, args.format, stream)
     return 0
 
 

@@ -212,7 +212,7 @@ class _BranchTable(NamedTuple):
 
     r: float
     bounds: Optional[tuple]  # sample_outcome's interval ends; None for a blind receiver
-    p0_normal: np.ndarray  # P(j = 0) per receiver outcome, from the kept state
+    p0_normal: np.ndarray  # P(j = 0) per receiver outcome (kept state) or blind guess
     p0_local: np.ndarray  # P(j = 0) per guess, on the unmeasured pair
     p_fail: np.ndarray  # check failure per (guess, j), at 2 * g + j
     exact_rows: tuple
@@ -311,18 +311,24 @@ def _table_branches(t: _BranchTable, u: np.ndarray) -> np.ndarray:
     """The branch each row of uniforms plays, as run_round reads them:
     column 0 the round kind, 1 the guess or the receiver's outcome, 2 the
     sender's outcome j, and 3 the check, which reads column 2 instead when
-    p0 == 0 (the sender's outcome then draws nothing)."""
-    guess = (u[:, 1] * 3.0).astype(np.intp)
-    p0 = t.p0_local[guess]
-    local = 2 * guess + (u[:, 2] >= p0)
-    check_u = np.where(p0 > 0.0, u[:, 3], u[:, 2])
-    checking = _NORMAL + 2 * local + (check_u < t.p_fail[local])
+    p0 == 0 (the sender's outcome then draws nothing).
+
+    Every row is played as a normal round first; then only the checking
+    rows (column 0 below r) are gathered and played again as checking
+    rounds, so no row works out the branch of the other round kind."""
     if t.bounds is None:
-        normal = local
+        x = (u[:, 1] * 3.0).astype(np.intp)
     else:
-        outcome = np.searchsorted(t.bounds, u[:, 1], side="right")
-        normal = 2 * outcome + (u[:, 2] >= t.p0_normal[outcome])
-    return np.where(u[:, 0] < t.r, checking, normal)
+        x = np.searchsorted(t.bounds, u[:, 1], side="right")
+    branch = 2 * x + (u[:, 2] >= t.p0_normal[x])
+    rows = np.flatnonzero(u[:, 0] < t.r)
+    c = u[rows, 1:4]
+    guess = (c[:, 0] * 3.0).astype(np.intp)
+    p0 = t.p0_local[guess]
+    local = 2 * guess + (c[:, 1] >= p0)
+    check_u = np.where(p0 > 0.0, c[:, 2], c[:, 1])
+    branch[rows] = _NORMAL + 2 * local + (check_u < t.p_fail[local])
+    return branch
 
 
 def _accumulate(total: float, values: np.ndarray) -> float:

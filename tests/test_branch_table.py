@@ -14,15 +14,17 @@ import pytest
 from trinegamble import montecarlo
 from trinegamble.montecarlo import (
     _CHUNK,
+    _NORMAL,
     SimConfig,
     _block_sums,
     _entangled_table,
     _result_from_sums,
     _scalar_sums,
+    _table_branches,
     _table_sums,
     simulate,
 )
-from trinegamble.protocol import ProtocolParams
+from trinegamble.protocol import CheckResult, ProtocolParams, RoundKind
 from trinegamble.qubit import LABELS, Povm, PureState, TwoQubitState, trine_states, uniform_label
 from trinegamble.strategies import (
     BobStrategy,
@@ -38,9 +40,11 @@ from conftest import closed_form_attack
 
 TRINE = trine_states()
 BOBS = {"honest": BobStrategy.honest_optimal(), "blind": BobStrategy.random_guess()}
-# the showcase point, and one whose payoffs are not whole numbers, so that
-# the order in which they are added shows in the sums
+# the showcase point, one whose payoffs are not whole numbers, so that the
+# order in which they are added shows in the sums, and one with no checking
+# rounds at all
 PARAMS = {
+    0.0: ProtocolParams(r=0.0, R=398.0),
     0.05: ProtocolParams(r=0.05, R=398.0),
     0.5: ProtocolParams(r=0.5, R=77.7, p=0.7, lose_payout=0.7 / 0.3),
 }
@@ -114,6 +118,67 @@ def test_split_runs_match_the_scalar_split():
                   _scalar_sums(alice, BOBS["honest"], params, BIG_SEED, 4_501, 4_500)]
         totals = [a + b for a, b in zip(*halves)]
         assert simulate(config) == _result_from_sums(*totals)
+
+
+# ---------------------------------------------------------------------------
+# row by row: the branch each row plays is the one its scalar round names
+
+
+def _telling(alice):
+    """alice with claims that tell her two outcomes apart, so that a round's
+    transcript names its branch."""
+    claims = {(g, j): LABELS[(i + j) % 3] for i, g in enumerate(LABELS) for j in (0, 1)}
+    return EntangledAlice(alice.psi, alice.basis_policy, claims)
+
+
+def _transcript_branch(alice, t):
+    g = LABELS.index(t.guess)
+    j = [alice.claim_policy[(t.guess, k)] for k in (0, 1)].index(t.verdict.claimed)
+    if t.kind is RoundKind.NORMAL:
+        return 2 * g + j
+    return _NORMAL + 2 * (2 * g + j) + (t.check is CheckResult.ACCUSE)
+
+
+def _rows_match(alice, bob, params, seed, start, count):
+    played = []
+    _scalar_sums(alice, bob, params, seed, start, count, sink=played.append)
+    branch = _table_branches(_entangled_table(alice, bob, params),
+                             montecarlo._round_rows(seed, start, count))
+    assert branch.tolist() == [_transcript_branch(alice, t) for t in played]
+    return branch
+
+
+ROW_SENDERS = ("aligned", "singlet", "blank-first-outcome", "random:0", "random:1", "random:2")
+
+
+@pytest.mark.parametrize("r", sorted(PARAMS))
+@pytest.mark.parametrize("bob", sorted(BOBS))
+@pytest.mark.parametrize("sender", ROW_SENDERS)
+def test_each_row_plays_the_branch_its_scalar_round_names(sender, bob, r):
+    branch = _rows_match(_telling(SENDERS[sender]), BOBS[bob], PARAMS[r], 5, 77, 3_000)
+    checking = branch >= _NORMAL
+    if r == 0.0:
+        assert not checking.any()  # the gathered set of checking rows is empty
+    else:
+        assert checking.any() and not checking.all()
+
+
+@pytest.mark.parametrize("bob", sorted(BOBS))
+@pytest.mark.parametrize("sender", ROW_SENDERS)
+def test_an_all_checking_chunk_matches_row_by_row(monkeypatch, sender, bob):
+    real = montecarlo._round_rows
+
+    def all_checking(seed, start, count):
+        u = real(seed, start, count)
+        u[:, 0] = 0.0
+        return u
+
+    monkeypatch.setattr(montecarlo, "_round_rows", all_checking)
+    alice, params = _telling(SENDERS[sender]), PARAMS[0.05]
+    branch = _rows_match(alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
+    assert (branch >= _NORMAL).all()
+    table, scalar = _both(alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
+    assert table == scalar and table[5] == 3_000
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,9 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     ["simulate", "--rounds", "100000", "--penalty-R", "inf", "--alice", "fixed:theta_a=1,claim=a"],
     ["sweep-theta", "--theta-list", "1", "--rounds", "1000", "--penalty-R", "inf"],
     ["analytic", "--theta-a", "1", "--rate-r", "0.05", "--penalty-R", "inf"],
+    ["sweep-theta", "--theta-list", "0.1,0.2", "--rounds", "200000",
+     "--seed", "18446744073709551615"],
+    ["sweep-r", "--r-list", "0.1,0.05", "--rounds", "200000", "--seed", "18446744073709551615"],
 ])
 def test_usage_and_validation_errors(capsys, argv):
     code, _, err = _run(capsys, argv)
@@ -193,6 +196,45 @@ def test_unopenable_output_path_exits_one(tmp_path, capsys, flag):
     code, _, err = _run(capsys, ["simulate", "--rounds", "10", "--seed", "1", flag, str(target)])
     assert code == 1
     assert err.splitlines()[-1].startswith("error: ") and str(target) in err
+
+
+def _no_simulate(config, transcript_sink=None):
+    raise AssertionError("a round was played before the bad input was rejected")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--rounds", "300000"],
+    ["sweep-theta", "--theta-list", "0.1,0.2", "--rounds", "200000"],
+    ["sweep-r", "--r-list", "0.1,0.05", "--rounds", "200000"],
+])
+def test_unopenable_output_fails_before_any_round(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr("trinegamble.cli.simulate", _no_simulate)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, argv + ["--seed", "1", "--output", str(target)])
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize("command", ["sweep-theta", "sweep-r"])
+def test_sweep_seeds_past_uint64_fail_before_any_row(monkeypatch, capsys, command):
+    monkeypatch.setattr("trinegamble.cli.simulate", _no_simulate)
+    last = str(2 ** 64 - 2)
+    code, _, err = _run(capsys, [command, "--rounds", "200000", "--seed", last])
+    assert code == 1 and "--seed" in err and str(2 ** 64) not in err
+    # the same seed fits a sweep of two rows
+    monkeypatch.undo()
+    code, _, err = _run(capsys, [command, "--rounds", "10", "--seed", last,
+                                 "--theta-list" if command == "sweep-theta" else "--r-list",
+                                 "0.5,1.0" if command == "sweep-theta" else "0.1,0.05"])
+    assert code == 0, err
+
+
+def test_transcript_and_output_on_one_file_is_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("trinegamble.cli.simulate", _no_simulate)
+    target = tmp_path / "run.out"
+    code, _, err = _run(capsys, ["simulate", "--rounds", "10", "--seed", "1",
+                                 "--transcript", str(target), "--output", str(target)])
+    assert code == 1 and "same file" in err
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _seeds(text: str) -> list:
+def parse_seeds(text: str) -> list:
     seeds = []
     for part in text.split(","):
         lo, dash, hi = part.partition("-")
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     n = 0
     for workload in args.workloads.split(","):
         pairs = []
-        for seed in _seeds(args.seeds):
+        for seed in parse_seeds(args.seeds):
             n += 1
             order = ("parent", "change") if n % 2 else ("change", "parent")
             pair = {"first": order[0]}
