@@ -16,9 +16,16 @@ blind guess x sender's outcome; checking round: guess x sender's outcome
 x pass or accuse) with the thresholds each uniform is compared against.
 numpy then plays a whole chunk of rows at once, reading the same uniforms
 in the same order as run_round and adding the payoffs strictly left to
-right, so the same rows give the same totals, bit for bit. Every other
-run takes the scalar loop. Compiled against the honest receiver, the same
-table is the exact oracle's answer for entangled senders.
+right, so the same rows give the same totals, bit for bit. Each row does
+only the work of its own round kind: _table_branches plays every row of a
+chunk as a normal round, then gathers the checking rows (column 0 below
+r) and overwrites just those with their checking branch; at r = 0.05 that
+took the benchmark's entangled-scan workload from 3.65M to 5.82M rounds/s
+(medians of ten runs each, BENCH_8.json). Every other run takes the
+scalar loop; separable senders stay there until the benchmark's
+statistical check stops raising false alarms at the pass counts a table
+engine would reach. Compiled against the honest receiver, the same table
+is the exact oracle's answer for entangled senders.
 
 The scalar loop computes each per-branch value once per run, not once
 per round: the channel's output for each prepared state
