@@ -391,6 +391,7 @@ def cmd_sweep_theta(args) -> int:
         if args.points < 2:
             raise CliError("--points must be at least 2")
         thetas = [float(t) for t in np.linspace(0.0, math.pi, args.points)]
+    senders = [FixedStateCheat.from_angle(theta, "a") for theta in thetas]
     params = ProtocolParams(r=args.rate_r, R=args.penalty_R)
     _check_sweep_seed(seed, len(thetas))
     _echo_config(
@@ -409,8 +410,7 @@ def cmd_sweep_theta(args) -> int:
     )
     with _output_stream(args.output) as stream:
         rows = []
-        for i, theta in enumerate(thetas):
-            alice = FixedStateCheat.from_angle(theta, "a")
+        for i, (theta, alice) in enumerate(zip(thetas, senders)):
             exact = enumerate_exact(alice, params)
             closed = gain_total(theta, args.rate_r, args.penalty_R).g_total
             mc_mean, mc_stderr, result = _sweep_mc(alice, params, args.rounds, seed + i, args.workers)
@@ -469,6 +469,10 @@ def cmd_sweep_r(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
+    if args.trials < 1:
+        raise CliError("--trials must be at least 1")
+    if args.grid_points < 2:
+        raise CliError("--grid-points must be at least 2")
     _echo_config(
         "verify",
         [("seed", seed), ("trials", args.trials), ("grid-points", args.grid_points)],
@@ -503,7 +507,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--bob", default="honest", help="receiver spec: honest | random")
     sim.add_argument("--rounds", type=int, required=True, help="number of rounds")
     sim.add_argument("--seed", type=int, default=None, help=f"base seed (default: ${ENV_SEED} or 0)")
-    sim.add_argument("--workers", type=int, default=1, help="process count for round blocks")
+    sim.add_argument("--workers", type=int, default=1, help="contiguous round blocks, summed in order and run on at most as many processes as the machine has CPUs")
     sim.add_argument("--noise", type=float, default=0.0, help="depolarizing weight on the channel")
     sim.add_argument("--abort-threshold", type=_opt_float, default=None, help="accusation rate that trips the abort monitor (empty/none disables)")
     sim.add_argument("--abort-min-checks", type=int, default=1, help="checks required before the monitor may trip")

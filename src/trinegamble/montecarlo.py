@@ -4,11 +4,17 @@ Reproducibility scheme: round i consumes at most eight uniforms, taken
 from row i of an implicit Philox(key=seed) matrix of shape (rounds, 8).
 Any contiguous block of rows regenerates bit-identically from the counter
 offset, so every round's randomness is a pure function of (seed, round
-index) no matter how rounds are partitioned across workers. Worker counts
-only change float accumulation order in the reported means.
+index) no matter how rounds are partitioned. simulate splits a run into
+``workers`` contiguous blocks, totals them in block order and plays them on
+at most os.cpu_count() processes: the worker count only changes float
+accumulation order in the reported means, and the process count nothing.
 
-Two paths play a block of rows. The scalar loop hands each row to
-protocol.run_round and is the reference. A sender that is exactly an
+Two paths play a block of rows, and both draw each branch by the rule of
+one helper in qubit: outcome_bounds for the receiver's POVM outcome,
+local_measure_branches and remote_povm_branches for the pair, and
+check_fail_probability for the check. The scalar loop hands each row to
+protocol.run_round, which samples those helpers one uniform at a time,
+and is the reference. A sender that is exactly an
 EntangledAlice, against a BobStrategy receiver, with no transcript sink,
 no abort monitor and no channel noise, is compiled instead into its
 branch table: eighteen branches (normal round: receiver's outcome or
@@ -32,10 +38,7 @@ per round: the channel's output for each prepared state
 (protocol.received_state) and the honest receiver's POVM probabilities for
 each received state (qubit.cached_born_probabilities) are kept on the
 immutable state objects, and the CLI renders each distinct transcript line
-once. They are pure functions of the state, the noise strength and the
-POVM, computed by the same code as before, and every round still draws the
-same uniforms in the same order, so the totals are bit-identical to
-computing them afresh each round. The scalar loop turns its rows into
+once. The scalar loop turns its rows into
 Python floats _SCALAR_CHUNK rows at a time, about a megabyte of them; the
 table path reads _CHUNK rows at a time. Either way the rows, and their
 order, are the same.
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -403,8 +407,9 @@ def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
         count = base + (1 if w < extra else 0)
         jobs.append((config.alice, config.bob, params, config.seed, start, count))
         start += count
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_worker, jobs))
+    procs = min(workers, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        parts = list(pool.map(_worker, jobs, chunksize=-(-workers // procs)))
     totals = parts[0]
     for part in parts[1:]:
         totals = [a + b for a, b in zip(totals, part)]

@@ -14,6 +14,10 @@ The receiver never fabricates accusations here. Check outcomes come out of
 the projective test itself; a receiver lying about that outcome is outside
 the modeled threat set.
 
+Each random choice is drawn from the branch table the exact oracle reads
+(qubit.outcome_bounds, remote_povm_branches, local_measure_branches and
+check_fail_probability); sampling a zero-norm branch raises AssertionError.
+
 Strategies are duck-typed: the sender object provides prepare/adjudicate,
 the receiver object provides act, measurement_povm and blind_guess. The
 strategies module supplies the standard implementations.
@@ -38,10 +42,10 @@ from typing import NamedTuple, Optional
 
 from .qubit import (
     LABEL_INDEX,
-    CheckOutcome,
+    check_fail_probability,
     depolarize,
-    project_check,
-    remote_povm_collapse,
+    remote_povm_branches,
+    sample_outcome,
     uniform_label,
 )
 
@@ -159,9 +163,10 @@ def settle(kind: RoundKind, verdict: Verdict, check: Optional[CheckResult],
 
 
 def bob_check(stored, claimed: str, rng) -> CheckResult:
-    """Receiver-side verification: project the stored qubit onto the claim."""
-    outcome = project_check(stored, claimed, rng)
-    return CheckResult.ACCUSE if outcome is CheckOutcome.FAIL else CheckResult.PASS
+    """Receiver-side verification: the projective test {|claimed><claimed|,
+    complement} on the stored qubit, whose complement outcome accuses."""
+    p_fail = check_fail_probability(stored, claimed)
+    return CheckResult.ACCUSE if rng.random() < p_fail else CheckResult.PASS
 
 
 def _validate_verdict(verdict, guess: str) -> None:
@@ -222,9 +227,12 @@ def run_round(alice, bob, params: ProtocolParams, rng) -> RoundTranscript:
         if kind is RoundKind.NORMAL:
             povm = bob.measurement_povm()
             if povm is not None:
-                k, kept, _ = remote_povm_collapse(joint, povm, rng)
+                branches = remote_povm_branches(joint, povm)
+                k = sample_outcome([p for p, _ in branches], rng)
+                alice_system = branches[k][1]
+                if alice_system is None:
+                    raise AssertionError("sampled a zero-probability POVM branch")
                 guess = povm.labels[k]
-                alice_system = kept
             else:
                 guess = bob.blind_guess(rng)
                 alice_system = joint

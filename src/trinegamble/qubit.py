@@ -5,16 +5,21 @@ Pure qubit states are pairs of complex amplitudes, mixed states explicit
 basis |00>, |01>, |10>, |11> with the sender's kept qubit in the first
 slot. Dimension is fixed at two, so everything runs on closed forms.
 
-Random draws go through the single method ``rng.random()`` so that any
-object exposing it (stdlib ``random.Random``, a numpy ``Generator``, or a
-deterministic stub) can drive the sampling operations.
+Every random choice of a round is described once, as a branch table that
+the sampler and the exact oracle both read: outcome_bounds for a POVM's
+outcomes, local_measure_branches and remote_povm_branches for either
+party's measurement of a pair, and check_fail_probability for the claim
+check. sample_outcome is the one draw over such a table; it goes through
+the single method ``rng.random()``, so that any object exposing it
+(stdlib ``random.Random``, a numpy ``Generator``, or a deterministic stub)
+can drive it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -26,11 +31,6 @@ LABELS = ("a", "b", "c")
 LABEL_INDEX = MappingProxyType({"a": 0, "b": 1, "c": 2})
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
-
-
-class CheckOutcome(Enum):
-    PASS = "pass"
-    FAIL = "fail"
 
 
 def uniform_label(rng) -> str:
@@ -254,7 +254,7 @@ class Povm:
     """A labeled POVM on one qubit: positive elements summing to the identity.
 
     ``pure_components`` optionally records each element as weight * |phi><phi|,
-    which the two-qubit collapse routine needs (rank-one elements only).
+    which remote_povm_branches needs (rank-one elements only).
     """
 
     elements: tuple
@@ -372,28 +372,15 @@ def _require_distribution(probs) -> None:
 
 
 def sample_outcome(probs, rng) -> int:
-    """Sample an index from a probability vector.
-
-    Fixed-order cumulative intervals over one uniform draw; any rounding
-    residue lands on the last index, zero-probability entries never fire.
-    """
-    _require_distribution(probs)
-    u = rng.random()
-    acc = 0.0
-    last = len(probs) - 1
-    for k in range(last):
-        p = probs[k]
-        if p > 0.0:
-            acc += p
-            if u < acc:
-                return k
-    return last
+    """Sample an index from a probability vector: the number of
+    outcome_bounds at or below one uniform draw. Any rounding residue lands
+    on the last index, zero-probability entries never fire."""
+    return bisect.bisect_right(outcome_bounds(probs), rng.random())
 
 
 def outcome_bounds(probs) -> tuple:
-    """The upper ends of sample_outcome's intervals for every index but the
-    last, accumulated by the same loop: sample_outcome(probs, rng) returns
-    the number of bounds at or below the uniform it draws."""
+    """The upper ends of the fixed-order cumulative intervals of every index
+    but the last; zero-probability entries add an empty interval."""
     _require_distribution(probs)
     bounds = []
     acc = 0.0
@@ -424,12 +411,6 @@ def check_fail_probability(state, claimed: str) -> float:
     return 1.0 - q
 
 
-def project_check(state, claimed: str, rng) -> CheckOutcome:
-    """Projective test {|claimed><claimed|, complement} on a stored qubit."""
-    p_fail = check_fail_probability(state, claimed)
-    return CheckOutcome.FAIL if rng.random() < p_fail else CheckOutcome.PASS
-
-
 def partial_trace(state: TwoQubitState, keep: int) -> DensityOperator:
     """Reduced density operator of one slot (0 = kept qubit, 1 = sent qubit)."""
     c00, c01, c10, c11 = state.c00, state.c01, state.c10, state.c11
@@ -446,32 +427,21 @@ def partial_trace(state: TwoQubitState, keep: int) -> DensityOperator:
     return DensityOperator([[d00, d01], [d01.conjugate(), d11]])
 
 
-def _require_orthonormal(basis) -> None:
+def local_measure_branches(state: TwoQubitState, basis):
+    """Deterministic branch table of a kept-qubit projective measurement:
+    ((probability, collapsed sent-qubit state or None), ...) per outcome.
+    Branches below norm 1e-12 carry None instead of a normalized state."""
     u0, u1 = basis
     cross = abs(u0.inner(u1))
     if cross > ATOL:
         raise ValueError(f"measurement basis must be orthonormal, |<u0|u1>| = {cross!r}")
-
-
-def _local_branch_amplitudes(state: TwoQubitState, basis):
     c00, c01, c10, c11 = state.c00, state.c01, state.c10, state.c11
-    out = []
+    table = []
     for u in basis:
         k0, k1 = u.a0.conjugate(), u.a1.conjugate()
         b0 = k0 * c00 + k1 * c10
         b1 = k0 * c01 + k1 * c11
         p = b0.real * b0.real + b0.imag * b0.imag + b1.real * b1.real + b1.imag * b1.imag
-        out.append((p, b0, b1))
-    return out
-
-
-def local_measure_branches(state: TwoQubitState, basis):
-    """Deterministic branch table of a kept-qubit projective measurement:
-    ((probability, collapsed sent-qubit state or None), ...) per outcome.
-    Branches below norm 1e-12 carry None instead of a normalized state."""
-    _require_orthonormal(basis)
-    table = []
-    for p, b0, b1 in _local_branch_amplitudes(state, basis):
         if p < 1e-12:
             table.append((p, None))
         else:
@@ -480,64 +450,27 @@ def local_measure_branches(state: TwoQubitState, basis):
     return tuple(table)
 
 
-def local_measure_collapse(state: TwoQubitState, basis, rng):
-    """Projective measurement on the kept (first) qubit.
-
-    Returns (outcome index, collapsed state of the sent qubit, probability).
-    Zero-probability branches are never sampled; the sampled branch is
-    asserted to carry norm >= 1e-12 before normalizing.
-    """
-    _require_orthonormal(basis)
-    branches = _local_branch_amplitudes(state, basis)
-    p0 = branches[0][0]
-    j = 0 if (p0 > 0.0 and rng.random() < p0) else 1
-    p, b0, b1 = branches[j]
-    assert p >= 1e-12, "sampled a zero-probability measurement branch"
-    inv = 1.0 / math.sqrt(p)
-    return j, PureState(b0 * inv, b1 * inv), p
-
-
-def _remote_branch_amplitudes(state: TwoQubitState, povm: Povm):
+def remote_povm_branches(state: TwoQubitState, povm: Povm):
+    """Deterministic branch table of a rank-one POVM on the sent qubit:
+    ((probability, conditional kept-qubit state or None), ...) per outcome.
+    Branches below norm 1e-12 carry None instead of a normalized state."""
     if povm.pure_components is None:
         raise ValueError("remote collapse needs a POVM with rank-one components")
     c00, c01, c10, c11 = state.c00, state.c01, state.c10, state.c11
-    out = []
+    table = []
     for w, phi in povm.pure_components:
         k0, k1 = phi.a0.conjugate(), phi.a1.conjugate()
         m0 = k0 * c00 + k1 * c01
         m1 = k0 * c10 + k1 * c11
         n2 = m0.real * m0.real + m0.imag * m0.imag + m1.real * m1.real + m1.imag * m1.imag
         p = w * n2
-        out.append((0.0 if p < 0.0 else (1.0 if p > 1.0 else p), m0, m1, n2))
-    return out
-
-
-def remote_povm_branches(state: TwoQubitState, povm: Povm):
-    """Deterministic branch table of a rank-one POVM on the sent qubit:
-    ((probability, conditional kept-qubit state or None), ...) per outcome."""
-    table = []
-    for p, m0, m1, n2 in _remote_branch_amplitudes(state, povm):
+        p = 0.0 if p < 0.0 else (1.0 if p > 1.0 else p)
         if n2 < 1e-12:
             table.append((p, None))
         else:
             inv = 1.0 / math.sqrt(n2)
             table.append((p, PureState(m0 * inv, m1 * inv)))
     return tuple(table)
-
-
-def remote_povm_collapse(state: TwoQubitState, povm: Povm, rng):
-    """POVM measurement on the sent (second) qubit of a two-qubit pure state.
-
-    Requires rank-one elements (``pure_components``). Returns (outcome index,
-    normalized conditional state of the kept qubit, probability).
-    """
-    branches = _remote_branch_amplitudes(state, povm)
-    probs = [b[0] for b in branches]
-    k = sample_outcome(probs, rng)
-    _, m0, m1, n2 = branches[k]
-    assert n2 >= 1e-12, "sampled a zero-probability POVM branch"
-    inv = 1.0 / math.sqrt(n2)
-    return k, PureState(m0 * inv, m1 * inv), probs[k]
 
 
 def depolarize(state: DensityOperator, lam: float) -> DensityOperator:

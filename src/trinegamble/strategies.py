@@ -29,7 +29,6 @@ from .qubit import (
     TwoQubitState,
     cached_born_probabilities,
     local_measure_branches,
-    local_measure_collapse,
     optimal_povm,
     sample_outcome,
     state_from_bloch,
@@ -218,14 +217,21 @@ class EntangledAlice:
         basis = self.basis_policy[guess]
         if isinstance(alice_system, TwoQubitState):
             # receiver has not measured: collapse the pair, surrender his half
-            j, bob_state, _ = local_measure_collapse(alice_system, basis, rng)
-            return _verdict_for(guess, self.claim_policy[(guess, j)]), bob_state
-        if isinstance(alice_system, PureState):
+            branches = local_measure_branches(alice_system, basis)
+            p0 = branches[0][0]
+        elif isinstance(alice_system, PureState):
             # receiver already measured: only the kept conditional state remains
+            branches = None
             p0 = basis[0].fidelity(alice_system)
-            j = 0 if (p0 > 0.0 and rng.random() < p0) else 1
-            return _verdict_for(guess, self.claim_policy[(guess, j)]), None
-        raise ValueError("entangled sender needs her conditional system to adjudicate")
+        else:
+            raise ValueError("entangled sender needs her conditional system to adjudicate")
+        j = 0 if (p0 > 0.0 and rng.random() < p0) else 1
+        bob_state = None
+        if branches is not None:
+            bob_state = branches[j][1]
+            if bob_state is None:
+                raise AssertionError("sampled a zero-probability measurement branch")
+        return _verdict_for(guess, self.claim_policy[(guess, j)]), bob_state
 
 
 def singlet_mirror() -> EntangledAlice:

@@ -183,6 +183,10 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     ["sweep-theta", "--theta-list", "0.1,0.2", "--rounds", "200000",
      "--seed", "18446744073709551615"],
     ["sweep-r", "--r-list", "0.1,0.05", "--rounds", "200000", "--seed", "18446744073709551615"],
+    ["verify", "--trials", "0", "--grid-points", "0"],
+    ["verify", "--trials", "-3"],
+    ["verify", "--trials", "0"],
+    ["verify", "--grid-points", "1"],
 ])
 def test_usage_and_validation_errors(capsys, argv):
     code, _, err = _run(capsys, argv)
@@ -213,6 +217,15 @@ def test_unopenable_output_fails_before_any_round(tmp_path, monkeypatch, capsys,
     code, out, err = _run(capsys, argv + ["--seed", "1", "--output", str(target)])
     assert code == 1 and out == ""
     assert err.splitlines()[-1].startswith("error: ") and str(target) in err
+
+
+def test_a_bad_sweep_angle_fails_before_any_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("trinegamble.cli.simulate", _no_simulate)
+    target = tmp_path / "out.csv"
+    code, out, err = _run(capsys, ["sweep-theta", "--theta-list", "0.1,4", "--rounds", "300000",
+                                   "--seed", "1", "--output", str(target)])
+    assert code == 1 and out == "" and not target.exists()
+    assert err.splitlines()[-1] == "error: cheat angle must lie in [0, pi], got 4.0"
 
 
 @pytest.mark.parametrize("command", ["sweep-theta", "sweep-r"])

@@ -6,11 +6,13 @@ tell the same story.
 """
 
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
+from trinegamble import montecarlo
 from trinegamble.analytics import gain_total
 from trinegamble.montecarlo import (
     DRAWS_PER_ROUND,
@@ -27,6 +29,7 @@ from trinegamble.montecarlo import (
 from trinegamble.protocol import CheckResult, ProtocolParams, RoundResult, run_round
 from trinegamble.strategies import (
     BobStrategy,
+    EntangledAlice,
     FixedStateCheat,
     HonestAlice,
     MixtureCheat,
@@ -34,7 +37,7 @@ from trinegamble.strategies import (
     random_entangled_policy,
     singlet_mirror,
 )
-from trinegamble.qubit import LABELS, trine_states
+from trinegamble.qubit import LABELS, PureState, TwoQubitState, trine_states
 
 from conftest import closed_form_attack, tally
 
@@ -95,6 +98,34 @@ def test_worker_partition_preserves_counts_and_means():
     # partial sums merge in a different order: only float association differs
     assert abs(solo.mean_gain_alice - split.mean_gain_alice) < 1e-9
     assert abs(solo.stderr - split.stderr) < 1e-9
+
+
+def test_blocks_run_on_at_most_one_process_per_cpu(monkeypatch):
+    # an in-process stand-in for the pool: records its size, starts nothing
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    alice = FixedStateCheat.from_angle(1.0, "a")
+    many = simulate(_config(alice, 20_000, seed=5, workers=10_000))
+    assert sizes == [min(10_000, os.cpu_count() or 1)]
+    two = simulate(_config(alice, 20_000, seed=5, workers=2))
+    assert (many.rounds, many.win_count, many.lose_count, many.check_count,
+            many.accuse_count) == (two.rounds, two.win_count, two.lose_count,
+                                   two.check_count, two.accuse_count)
+    assert abs(many.mean_gain_alice - two.mean_gain_alice) < 1e-9
 
 
 def test_transcript_sink_is_exhaustive_and_consistent():
@@ -291,6 +322,33 @@ def test_simulated_mixture_gain_agrees_with_oracle():
 def test_simulated_noisy_honest_gain_agrees_with_oracle():
     params = ProtocolParams(r=0.05, R=398.0, noise_lambda=0.1)
     assert abs(_z_for(HonestAlice(), params, 100_000, seed=20)) < 4.0
+
+
+def test_a_product_state_sender_claiming_by_guess_beats_r_past_the_threshold():
+    """At (r, R) = (0.05, 78), k = r(R+2) = 4 > 2, a sender who sends one
+    definite state per round but picks her claim from the guess, by the map
+    f = (a->b, b->a, c->a), gains 2/sqrt(3), not r. Her state is the top
+    eigenvector of sum_g W_{g,f(g)}, with W_gc the gain operator
+    (1-r) pay(g,c) (2/3) P_g + (r/3) (pay(g,c) P_c - R (1 - P_c))."""
+    r, R = 0.05, 78.0
+    f = {"a": "b", "b": "a", "c": "a"}
+    proj = {g: np.outer([TRINE[g].a0, TRINE[g].a1], [TRINE[g].a0, TRINE[g].a1]).real
+            for g in LABELS}
+
+    def gain_operator(g, c):
+        pay = -1.0 if g == c else 2.0
+        return ((1.0 - r) * pay * (2.0 / 3.0) * proj[g]
+                + (r / 3.0) * (pay * proj[c] - R * (np.eye(2) - proj[c])))
+
+    _, vectors = np.linalg.eigh(sum(gain_operator(g, f[g]) for g in LABELS))
+    sent = PureState.from_unnormalized(vectors[0, -1], vectors[1, -1])
+    kept = PureState(1.0, 0.0)
+    alice = EntangledAlice(TwoQubitState.from_product(kept, sent),
+                           {g: (kept, kept.orthogonal()) for g in LABELS},
+                           {(g, j): f[g] for g in LABELS for j in (0, 1)})
+    params = ProtocolParams(r=r, R=R)
+    assert abs(enumerate_exact(alice, params).g_alice - 2.0 / math.sqrt(3.0)) < 1e-12
+    assert abs(_z_for(alice, params, 200_000, seed=3)) < 4.0
 
 
 def test_zero_angle_cheat_plays_like_conditioned_honest():

@@ -19,6 +19,7 @@ from trinegamble.protocol import (
     RoundResult,
     Verdict,
     abort_monitor,
+    bob_check,
     run_round,
     settle,
     transcript_line,
@@ -31,11 +32,40 @@ from trinegamble.strategies import (
     Preparation,
     singlet_mirror,
 )
-from trinegamble.qubit import trine_states
+from trinegamble.qubit import BlochVector, state_from_bloch, trine_states
 
 from conftest import four_sigma, tally
 
 PARAMS = ProtocolParams(r=0.1, R=398.0)
+
+
+# ---------------------------------------------------------------------------
+# the claim check
+
+
+def test_bob_check_eigenstate_never_accuses():
+    t = trine_states()
+    r = random.Random(77)
+    assert all(bob_check(t["a"], "a", r) is CheckResult.PASS for _ in range(10_000))
+    assert all(bob_check(t["c"], "c", r) is CheckResult.PASS for _ in range(10_000))
+
+
+def test_bob_check_cross_trine_accuses_three_quarters():
+    t = trine_states()
+    r = random.Random(88)
+    n = 100_000
+    accusations = sum(bob_check(t["b"], "a", r) is CheckResult.ACCUSE for _ in range(n))
+    assert abs(accusations / n - 0.75) < four_sigma(0.75, n)
+
+
+def test_bob_check_rate_at_arbitrary_angle():
+    theta = 1.1
+    s = state_from_bloch(BlochVector(math.sin(theta), 0.0, math.cos(theta)))
+    want = 1.0 - math.cos(theta / 2.0) ** 2
+    r = random.Random(99)
+    n = 100_000
+    accusations = sum(bob_check(s, "a", r) is CheckResult.ACCUSE for _ in range(n))
+    assert abs(accusations / n - want) < four_sigma(want, n)
 
 
 # ---------------------------------------------------------------------------

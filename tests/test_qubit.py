@@ -1,4 +1,4 @@
-"""Qubit algebra: trine geometry, Born rule, collapse mechanics.
+"""Qubit algebra: trine geometry, Born rule, branch tables and their sampling.
 
 Frozen expectations were derived by hand from the 2x2 linear algebra
 (inner products of the stated amplitudes) or recomputed here with an
@@ -16,7 +16,6 @@ from trinegamble.qubit import (
     ATOL,
     LABELS,
     BlochVector,
-    CheckOutcome,
     DensityOperator,
     Povm,
     PureState,
@@ -26,19 +25,18 @@ from trinegamble.qubit import (
     check_fail_probability,
     depolarize,
     local_measure_branches,
-    local_measure_collapse,
     mixture_density,
     optimal_povm,
     partial_trace,
     outcome_bounds,
-    project_check,
     remote_povm_branches,
-    remote_povm_collapse,
     sample_outcome,
     state_from_bloch,
     trine_states,
     uniform_label,
 )
+from trinegamble.protocol import ProtocolParams, run_round
+from trinegamble.strategies import BobStrategy, EntangledAlice
 
 from conftest import four_sigma, random_basis, random_pair, random_pure
 
@@ -292,14 +290,38 @@ class _Uniform:
         return self.u
 
 
-def test_outcome_bounds_are_sample_outcomes_intervals():
-    # sample_outcome(probs) is the number of bounds at or below its uniform
-    for probs in ((0.3, 0.3, 0.4), (0.0, 1.0, 0.0), (0.5, 0.0, 0.5),
-                  (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)):
+def _cumulative_draw(probs, u):
+    """The cumulative loop sample_outcome used to run itself: the first
+    positive entry whose running total exceeds u, else the last index."""
+    acc = 0.0
+    for k in range(len(probs) - 1):
+        if probs[k] > 0.0:
+            acc += probs[k]
+            if u < acc:
+                return k
+    return len(probs) - 1
+
+
+def test_sample_outcome_matches_the_cumulative_loop():
+    rng = np.random.default_rng(8)
+    vectors = [(0.3, 0.3, 0.4), (0.0, 1.0, 0.0), (0.5, 0.0, 0.5), (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)]
+    for _ in range(300):
+        p = rng.random(int(rng.integers(2, 6)))
+        p[rng.random(len(p)) < 0.3] = 0.0
+        if p.sum() == 0.0:
+            p[-1] = 1.0
+        # leave rounding residue within the tolerance on either side of 1
+        p *= (1.0 + float(rng.uniform(-0.9, 0.9)) * ATOL) / p.sum()
+        vectors.append(tuple(float(x) for x in p))
+    for probs in vectors:
         bounds = outcome_bounds(probs)
         assert len(bounds) == len(probs) - 1
-        for u in (0.0, 0.1, 0.3, 0.5, 0.6, 2.0 / 3.0, 0.99, 1.0 - 2.0 ** -53, *bounds):
-            assert sample_outcome(probs, _Uniform(u)) == sum(b <= u for b in bounds)
+        edges = [b for b in bounds if b > 0.0]
+        for u in (0.0, 0.1, 0.5, 2.0 / 3.0, 0.99, 1.0 - 2.0 ** -53, *rng.random(20),
+                  *edges, *np.nextafter(edges, 0.0)):
+            u = float(u)
+            if u < 1.0:
+                assert sample_outcome(probs, _Uniform(u)) == _cumulative_draw(probs, u)
     with pytest.raises(ValueError):
         outcome_bounds((0.5, float("nan"), 0.5))
 
@@ -333,31 +355,6 @@ def test_check_fail_probability_follows_half_angle_law():
         s = state_from_bloch(BlochVector(math.sin(theta), 0.0, math.cos(theta)))
         want = 1.0 - math.cos(theta / 2.0) ** 2
         assert abs(check_fail_probability(s, "a") - want) < 1e-12
-
-
-def test_project_check_eigenstate_never_fails():
-    t = trine_states()
-    r = random.Random(77)
-    assert all(project_check(t["a"], "a", r) is CheckOutcome.PASS for _ in range(10_000))
-    assert all(project_check(t["c"], "c", r) is CheckOutcome.PASS for _ in range(10_000))
-
-
-def test_project_check_cross_trine_fails_three_quarters():
-    t = trine_states()
-    r = random.Random(88)
-    n = 100_000
-    fails = sum(project_check(t["b"], "a", r) is CheckOutcome.FAIL for _ in range(n))
-    assert abs(fails / n - 0.75) < four_sigma(0.75, n)
-
-
-def test_project_check_rate_at_arbitrary_angle():
-    theta = 1.1
-    s = state_from_bloch(BlochVector(math.sin(theta), 0.0, math.cos(theta)))
-    want = 1.0 - math.cos(theta / 2.0) ** 2
-    r = random.Random(99)
-    n = 100_000
-    fails = sum(project_check(s, "a", r) is CheckOutcome.FAIL for _ in range(n))
-    assert abs(fails / n - want) < four_sigma(want, n)
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +437,37 @@ def test_local_collapse_on_product_state_is_inert():
     assert abs(branches[0][0] - 1.0) < 1e-12
     assert branches[0][1].fidelity(t["b"]) > 1.0 - 1e-12
     assert branches[1][1] is None  # unreachable branch carries no state
+    alice = EntangledAlice(psi, {g: basis for g in LABELS}, _CLAIM_OUTCOME)
     r = random.Random(3)
     for _ in range(5000):
-        j, bob, p = local_measure_collapse(psi, basis, r)
-        assert j == 0 and p == pytest.approx(1.0, abs=1e-9)
+        verdict, bob = alice.adjudicate(alice.prepare(r), "a", psi, r)
+        assert verdict.claimed == "a" and bob == branches[0][1]
 
 
 def test_local_collapse_requires_orthonormal_basis():
     t = trine_states()
     with pytest.raises(ValueError):
         local_measure_branches(TwoQubitState.singlet(), (t["a"], t["b"]))
-    with pytest.raises(ValueError):
-        local_measure_collapse(TwoQubitState.singlet(), (t["a"], t["b"]), random.Random(0))
+
+
+# the sender's outcome j, readable from her claim
+_CLAIM_OUTCOME = {(g, j): "ab"[j] for g in LABELS for j in (0, 1)}
 
 
 def test_local_collapse_sampling_matches_branch_weights():
+    # the sender draws her outcome on the pair from local_measure_branches
     rng_np = np.random.default_rng(42)
     psi = random_pair(rng_np)
     basis = random_basis(rng_np)
     branches = local_measure_branches(psi, basis)
+    alice = EntangledAlice(psi, {g: basis for g in LABELS}, _CLAIM_OUTCOME)
     r = random.Random(1234)
     n = 50_000
     hits = [0, 0]
     for _ in range(n):
-        j, _, _ = local_measure_collapse(psi, basis, r)
+        verdict, bob = alice.adjudicate(alice.prepare(r), "a", psi, r)
+        j = "ab".index(verdict.claimed)
+        assert bob.fidelity(branches[j][1]) > 1.0 - 1e-12
         hits[j] += 1
     assert abs(hits[0] / n - branches[0][0]) < four_sigma(branches[0][0], n)
 
@@ -538,20 +542,51 @@ def test_remote_collapse_needs_rank_one_elements():
     with pytest.raises(ValueError):
         remote_povm_branches(TwoQubitState.singlet(), povm)
     with pytest.raises(ValueError):
-        remote_povm_collapse(TwoQubitState.singlet(), povm, random.Random(0))
+        run_round(_KeptStateSpy(TwoQubitState.singlet()), _FixedPovmBob(povm),
+                  ProtocolParams(r=0.0, R=398.0), random.Random(0))
+
+
+class _FixedPovmBob:
+    """A receiver measuring with the given POVM, as a BobStrategy's duck type."""
+
+    def __init__(self, povm):
+        self.povm = povm
+
+    def measurement_povm(self):
+        return self.povm
+
+
+class _KeptStateSpy(EntangledAlice):
+    """An entangled sender that records the system she adjudicates on."""
+
+    def __init__(self, psi):
+        t = trine_states()
+        super().__init__(psi, {g: (t[g], t[g].orthogonal()) for g in LABELS},
+                         {(g, j): g for g in LABELS for j in (0, 1)})
+        object.__setattr__(self, "seen", [])
+
+    def adjudicate(self, prep, guess, alice_system, rng):
+        self.seen.append((guess, alice_system))
+        return super().adjudicate(prep, guess, alice_system, rng)
 
 
 def test_remote_collapse_sampling_matches_branch_weights():
+    # a normal round draws the receiver's outcome from remote_povm_branches
+    # and hands the sender that branch's kept state
     rng_np = np.random.default_rng(11)
     psi = random_pair(rng_np)
     povm = optimal_povm()
     branches = remote_povm_branches(psi, povm)
+    alice = _KeptStateSpy(psi)
+    params = ProtocolParams(r=0.0, R=398.0)
+    bob = BobStrategy.honest_optimal()
     r = random.Random(55)
     n = 60_000
     hits = [0, 0, 0]
     for _ in range(n):
-        k, kept, p = remote_povm_collapse(psi, povm, r)
-        assert abs(p - branches[k][0]) < 1e-12
+        run_round(alice, bob, params, r)
+        guess, kept = alice.seen.pop()
+        k = povm.labels.index(guess)
         assert kept.fidelity(branches[k][1]) > 1.0 - 1e-12
         hits[k] += 1
     for k in range(3):
