@@ -407,6 +407,7 @@ def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
         count = base + (1 if w < extra else 0)
         jobs.append((config.alice, config.bob, params, config.seed, start, count))
         start += count
+    # forking one process per block could start thousands; map keeps block order
     procs = min(workers, os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=procs) as pool:
         parts = list(pool.map(_worker, jobs, chunksize=-(-workers // procs)))

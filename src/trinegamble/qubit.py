@@ -360,17 +360,6 @@ def cached_born_probabilities(state, povm: Povm) -> tuple:
     return memo[1]
 
 
-def _require_distribution(probs) -> None:
-    total = 0.0
-    for p in probs:
-        if p < -ATOL:
-            raise ValueError(f"negative probability {p!r}")
-        total += p
-    # a NaN entry makes the total NaN, which fails this comparison
-    if not abs(total - 1.0) <= ATOL:
-        raise ValueError(f"probabilities must sum to 1, got {total!r}")
-
-
 def sample_outcome(probs, rng) -> int:
     """Sample an index from a probability vector: the number of
     outcome_bounds at or below one uniform draw. Any rounding residue lands
@@ -380,15 +369,21 @@ def sample_outcome(probs, rng) -> int:
 
 def outcome_bounds(probs) -> tuple:
     """The upper ends of the fixed-order cumulative intervals of every index
-    but the last; zero-probability entries add an empty interval."""
-    _require_distribution(probs)
+    but the last; zero-probability entries add an empty interval. Raises
+    ValueError unless probs is a probability vector to 1e-9."""
+    total = acc = 0.0
     bounds = []
-    acc = 0.0
-    for p in probs[:-1]:
+    for p in probs:
+        if p < -ATOL:
+            raise ValueError(f"negative probability {p!r}")
+        total += p
         if p > 0.0:
             acc += p
         bounds.append(acc)
-    return tuple(bounds)
+    # a NaN entry makes the total NaN, which fails this comparison
+    if not abs(total - 1.0) <= ATOL:
+        raise ValueError(f"probabilities must sum to 1, got {total!r}")
+    return tuple(bounds[:-1])
 
 
 def check_fail_probability(state, claimed: str) -> float:
