@@ -13,35 +13,34 @@ Two paths play a block of rows, and both draw each branch by the rule of
 one helper in qubit: outcome_bounds for the receiver's POVM outcome,
 local_measure_branches and remote_povm_branches for the pair, and
 check_fail_probability for the check. The scalar loop hands each row to
-protocol.run_round, which samples those helpers one uniform at a time,
-and is the reference. A sender that is exactly an
-EntangledAlice, against a BobStrategy receiver, with no transcript sink,
-no abort monitor and no channel noise, is compiled instead into its
-branch table: eighteen branches (normal round: receiver's outcome or
-blind guess x sender's outcome; checking round: guess x sender's outcome
-x pass or accuse) with the thresholds each uniform is compared against.
-numpy then plays a whole chunk of rows at once, reading the same uniforms
-in the same order as run_round and adding the payoffs strictly left to
-right, so the same rows give the same totals, bit for bit. Each row does
-only the work of its own round kind: _table_branches plays every row of a
-chunk as a normal round, then gathers the checking rows (column 0 below
-r) and overwrites just those with their checking branch; at r = 0.05 that
-took the benchmark's entangled-scan workload from 3.65M to 5.82M rounds/s
-(medians of ten runs each, BENCH_8.json). Every other run takes the
-scalar loop; separable senders stay there until the benchmark's
-statistical check stops raising false alarms at the pass counts a table
-engine would reach. Compiled against the honest receiver, the same table
-is the exact oracle's answer for entangled senders.
+protocol.run_round, which samples those helpers one uniform at a time, and
+is the reference. A sender that is exactly an EntangledAlice, against a
+BobStrategy receiver, with no transcript sink, no abort monitor and no
+channel noise, is compiled instead into its branch table: eighteen
+branches (normal round: receiver's outcome or blind guess x sender's
+outcome; checking round: guess x sender's outcome x pass or accuse) with
+the thresholds each uniform is compared against. numpy then plays a whole
+chunk of rows at once, reading the same uniforms in the same order as
+run_round and adding the payoffs strictly left to right, so the same rows
+give the same totals, bit for bit. Each row does only the work of its own
+round kind: _table_branches plays every row of a chunk as a normal round,
+then gathers the checking rows (column 0 below r) and overwrites just
+those with their checking branch; at r = 0.05 that took the benchmark's
+entangled-scan workload from 3.65M to 5.82M rounds/s (medians of ten runs
+each, BENCH_8.json). Every other run takes the scalar loop; separable
+senders stay there until the benchmark's statistical check stops raising
+false alarms at the pass counts a table engine would reach. Compiled
+against the honest receiver, the same table is the exact oracle's answer
+for entangled senders.
 
-The scalar loop computes each per-branch value once per run, not once
-per round: the channel's output for each prepared state
+The scalar loop computes each per-branch value once per run, not once per
+round: the channel's output for each prepared state
 (protocol.received_state) and the honest receiver's POVM probabilities for
 each received state (qubit.cached_born_probabilities) are kept on the
 immutable state objects, and the CLI renders each distinct transcript line
-once. The scalar loop turns its rows into
-Python floats _SCALAR_CHUNK rows at a time, about a megabyte of them; the
-table path reads _CHUNK rows at a time. Either way the rows, and their
-order, are the same.
+once. The scalar loop turns its rows into Python floats _SCALAR_CHUNK rows
+at a time, about a megabyte of them; the table path reads _CHUNK rows at a
+time. Either way the rows, and their order, are the same.
 
 Abort monitoring and transcript streaming are inherently sequential (the
 monitor reads the running counts in round order), so those runs play in

@@ -417,6 +417,10 @@ def test_partial_trace_yields_valid_density(psi):
         assert abs(tr - 1.0) < 1e-9
 
 
+# the sender's outcome j, readable from her claim
+_CLAIM_OUTCOME = {(g, j): "ab"[j] for g in LABELS for j in (0, 1)}
+
+
 def test_local_collapse_on_singlet_anticorrelates():
     psi = TwoQubitState.singlet()
     t = trine_states()
@@ -448,10 +452,6 @@ def test_local_collapse_requires_orthonormal_basis():
     t = trine_states()
     with pytest.raises(ValueError):
         local_measure_branches(TwoQubitState.singlet(), (t["a"], t["b"]))
-
-
-# the sender's outcome j, readable from her claim
-_CLAIM_OUTCOME = {(g, j): "ab"[j] for g in LABELS for j in (0, 1)}
 
 
 def test_local_collapse_sampling_matches_branch_weights():
