@@ -371,9 +371,9 @@ def cmd_analytic(args) -> int:
     return 0
 
 
-def _sweep_mc(alice, params, rounds, seed, workers):
-    result = simulate(SimConfig(rounds=rounds, seed=seed, params=params, alice=alice, bob=parse_bob_spec("honest"), workers=workers))
-    return result.mean_gain_alice, result.stderr, result
+def _sweep_config(args, seed: int, params, alice) -> SimConfig:
+    return SimConfig(rounds=args.rounds, seed=seed, params=params, alice=alice,
+                     bob=parse_bob_spec("honest"), workers=args.workers)
 
 
 def _check_sweep_seed(seed: int, rows: int) -> None:
@@ -408,21 +408,23 @@ def cmd_sweep_theta(args) -> int:
             ("output", args.output),
         ],
     )
+    # row i plays seed + i; building every row's config checks --rounds and
+    # --workers before --output is opened
+    configs = [_sweep_config(args, seed + i, params, alice) for i, alice in enumerate(senders)]
     with _output_stream(args.output) as stream:
         rows = []
-        for i, (theta, alice) in enumerate(zip(thetas, senders)):
-            exact = enumerate_exact(alice, params)
+        for theta, config in zip(thetas, configs):
+            exact = enumerate_exact(config.alice, params)
             closed = gain_total(theta, args.rate_r, args.penalty_R).g_total
-            mc_mean, mc_stderr, result = _sweep_mc(alice, params, args.rounds, seed + i, args.workers)
-            z = compare_stats(result, exact)
+            result = simulate(config)
             rows.append(
                 {
                     "parameter": theta,
                     "analytic": closed,
                     "exact_oracle": exact.g_alice,
-                    "mc_mean": mc_mean,
-                    "mc_stderr": mc_stderr,
-                    "z": z,
+                    "mc_mean": result.mean_gain_alice,
+                    "mc_stderr": result.stderr,
+                    "z": compare_stats(result, exact),
                 }
             )
         _write_rows(rows, SWEEP_THETA_COLUMNS, args.format, stream)
@@ -446,21 +448,23 @@ def cmd_sweep_r(args) -> int:
             ("output", args.output),
         ],
     )
+    configs = [_sweep_config(args, seed + i, params, HonestAlice())
+               for i, params in enumerate(games)]
     with _output_stream(args.output) as stream:
         rows = []
-        for i, params in enumerate(games):
-            exact = enumerate_exact(HonestAlice(), params)
-            mc_mean, mc_stderr, result = _sweep_mc(HonestAlice(), params, args.rounds, seed + i, args.workers)
-            z = compare_stats(result, exact)
+        for config in configs:
+            params = config.params
+            exact = enumerate_exact(config.alice, params)
+            result = simulate(config)
             rows.append(
                 {
                     "parameter": params.r,
                     "penalty_R": params.R,
                     "analytic": params.r,
                     "exact_oracle": exact.g_alice,
-                    "mc_mean": mc_mean,
-                    "mc_stderr": mc_stderr,
-                    "z": z,
+                    "mc_mean": result.mean_gain_alice,
+                    "mc_stderr": result.stderr,
+                    "z": compare_stats(result, exact),
                 }
             )
         _write_rows(rows, SWEEP_R_COLUMNS, args.format, stream)

@@ -9,43 +9,34 @@ index) no matter how rounds are partitioned. simulate splits a run into
 at most os.cpu_count() processes: the worker count only changes float
 accumulation order in the reported means, and the process count nothing.
 
-Two paths play a block of rows, and both draw each branch by the rule of
-one helper in qubit: outcome_bounds for the receiver's POVM outcome,
-local_measure_branches and remote_povm_branches for the pair, and
-check_fail_probability for the check. The scalar loop hands each row to
-protocol.run_round, which samples those helpers one uniform at a time, and
-is the reference. A sender that is exactly an EntangledAlice, against a
-BobStrategy receiver, with no transcript sink, no abort monitor and no
-channel noise, is compiled instead into its branch table: eighteen
-branches (normal round: receiver's outcome or blind guess x sender's
-outcome; checking round: guess x sender's outcome x pass or accuse) with
-the thresholds each uniform is compared against. numpy then plays a whole
-chunk of rows at once, reading the same uniforms in the same order as
-run_round and adding the payoffs strictly left to right, so the same rows
-give the same totals, bit for bit. Each row does only the work of its own
-round kind: _table_branches plays every row of a chunk as a normal round,
-then gathers the checking rows (column 0 below r) and overwrites just
-those with their checking branch; at r = 0.05 that took the benchmark's
-entangled-scan workload from 3.65M to 5.82M rounds/s (medians of ten runs
-each, BENCH_8.json). Every other run takes the scalar loop; separable
-senders stay there until the benchmark's statistical check stops raising
-false alarms at the pass counts a table engine would reach. Compiled
-against the honest receiver, the same table is the exact oracle's answer
-for entangled senders.
+Each block is played by one of two engines, chosen by the sender, and
+both draw every branch by the rule of one helper in qubit: outcome_bounds
+for the receiver's POVM outcome, local_measure_branches and
+remote_povm_branches for the pair, check_fail_probability for the check.
+A separable sender plays round by round through protocol.run_round. An
+entangled sender is compiled into her branch table: eighteen branches
+(normal round: receiver's outcome or blind guess x her outcome; checking
+round: guess x her outcome x pass or accuse), each with its transcript,
+and the thresholds each uniform is compared against. numpy plays a chunk
+of rows at once and adds the payoffs strictly left to right, so the totals
+are bit-identical to playing the rows one at a time
+(tests/entangled_reference.py). Each row does only the work of its own
+round kind: at r = 0.05 that took the benchmark's entangled-scan workload
+from 3.65M to 5.82M rounds/s (BENCH_8.json). With a transcript sink or
+the abort monitor, a chunk's checking rows go through abort_monitor in
+order, the chunk ends at the tripping row, and the sink gets each row's
+prebuilt transcript. Compiled against the honest receiver, the same table
+is the exact oracle's answer for entangled senders.
 
-The scalar loop computes each per-branch value once per run, not once per
-round: the channel's output for each prepared state
-(protocol.received_state) and the honest receiver's POVM probabilities for
-each received state (qubit.cached_born_probabilities) are kept on the
-immutable state objects, and the CLI renders each distinct transcript line
-once. The scalar loop turns its rows into Python floats _SCALAR_CHUNK rows
-at a time, about a megabyte of them; the table path reads _CHUNK rows at a
-time. Either way the rows, and their order, are the same.
+The scalar loop computes each per-branch value once per run: the channel's
+output for each prepared state (protocol.received_state) and the honest
+receiver's POVM probabilities (qubit.cached_born_probabilities) live on
+the immutable state objects, and the CLI renders each distinct transcript
+line once. It reads _SCALAR_CHUNK rows at a time, the table _CHUNK rows.
 
-Abort monitoring and transcript streaming are inherently sequential (the
-monitor reads the running counts in round order), so those runs play in
-one process regardless of the configured worker count; identical per-round
-randomness keeps the outcomes consistent either way.
+Abort monitoring and transcript streaming are sequential (the monitor
+reads the running counts in round order), so those runs play in one
+process whatever the worker count.
 """
 
 from __future__ import annotations
@@ -65,9 +56,11 @@ from .protocol import (
     ProtocolParams,
     RoundKind,
     RoundResult,
+    RoundTranscript,
     abort_monitor,
     received_state,
     run_round,
+    settle,
 )
 from .qubit import (
     LABELS,
@@ -79,7 +72,14 @@ from .qubit import (
     remote_povm_branches,
     trine_states,
 )
-from .strategies import BobStrategy, EntangledAlice, FixedStateCheat, HonestAlice, MixtureCheat
+from .strategies import (
+    BobStrategy,
+    EntangledAlice,
+    FixedStateCheat,
+    HonestAlice,
+    MixtureCheat,
+    _verdict_for,
+)
 
 DRAWS_PER_ROUND = 8
 _CHUNK = 1 << 16
@@ -150,18 +150,17 @@ def _block_sums(alice, bob, params, seed, start, count, sink=None):
     """Play rounds [start, start + count) in order and total them: (rounds,
     sum, sumsq, wins, losses, checks, accusations, aborted).
 
-    An entangled sender plays from its branch table when nothing needs the
-    rounds one by one; everything else takes the scalar loop. Both paths
-    return the same tuple for the same rounds.
+    An entangled sender plays from her branch table, every other sender
+    round by round through run_round.
     """
-    if (sink is None and params.abort_threshold is None and params.noise_lambda == 0.0
-            and type(alice) is EntangledAlice and type(bob) is BobStrategy):
-        return _table_sums(_entangled_table(alice, bob, params), seed, start, count)
+    if isinstance(alice, EntangledAlice):
+        return _table_sums(_entangled_table(alice, bob, params), seed, start, count,
+                           sink, params)
     return _scalar_sums(alice, bob, params, seed, start, count, sink)
 
 
 def _scalar_sums(alice, bob, params, seed, start, count, sink=None):
-    """_block_sums through run_round, one round at a time: the reference.
+    """_block_sums through run_round, one round at a time.
 
     Every round goes to sink, when given, before the abort monitor looks at
     it, so the round that trips the monitor is still written; rounds is
@@ -216,16 +215,18 @@ class _BranchTable(NamedTuple):
     Branch 2 * x + j is a normal round in which the receiver's outcome or
     blind guess has index x and the sender's outcome is j; branch
     _NORMAL + 2 * (2 * g + j) + fail is a checking round on guess g.
-    exact_rows gives each branch's (name, probability, payoff); the arrays
-    are what _table_branches compares the uniforms with and reads back.
+    exact_rows gives each branch's (name, probability, payoff) and
+    transcripts the round a row on it plays; the arrays are what
+    _table_branches compares the uniforms with and reads back.
     """
 
     r: float
     bounds: Optional[tuple]  # sample_outcome's interval ends; None for a blind receiver
-    p0_normal: np.ndarray  # P(j = 0) per receiver outcome (kept state) or blind guess
+    p0_normal: np.ndarray  # P(j = 0) per receiver outcome or blind guess
     p0_local: np.ndarray  # P(j = 0) per guess, on the unmeasured pair
     p_fail: np.ndarray  # check failure per (guess, j), at 2 * g + j
     exact_rows: tuple
+    transcripts: tuple
     delta: np.ndarray  # sender's payoff and its square, per branch
     delta_sq: np.ndarray
     won: np.ndarray  # the receiver's guess matched the claim
@@ -234,26 +235,29 @@ class _BranchTable(NamedTuple):
 
 
 def _entangled_table(alice, bob, params) -> _BranchTable:
-    """Compile an EntangledAlice and a BobStrategy into their branch table.
+    """Compile an EntangledAlice and a receiver into their branch table.
 
-    Every threshold comes from the helper, and in the order, that the
-    scalar round uses: the receiver's POVM intervals from outcome_bounds,
-    the kept state's p0 as EntangledAlice.adjudicate computes it, and the
-    check from check_fail_probability on the collapsed state. A branch the
-    scalar round could not finish (an unnormalisable collapse, or POVM
-    probabilities that do not sum to 1) carries the error it would raise.
+    The thresholds come from outcome_bounds on the receiver's POVM
+    probabilities, the sender's odds on the pair (local_measure_branches)
+    or on her kept state (remote_povm_branches), and check_fail_probability
+    on the collapsed sent half. The channel depolarizes the sent half with
+    weight lam, so the check reads its received_state, and the receiver's
+    outcome k and the sender's j occur with probability
+    (1 - lam) p_k |<u_j|kept_k>|^2 + lam (w_k / 2) P(j), w_k the element's
+    weight and P(j) her odds on the pair. A branch that cannot be played
+    (an unnormalisable collapse, or POVM probabilities that do not sum to
+    1) carries the error it raises.
     """
     psi, basis, claims = alice.psi, alice.basis_policy, alice.claim_policy
-    r, R = params.r, params.R
-    win, lose = params.win_payout, params.lose_payout
-    exact_rows, deltas, won, accused, faults = [], [], [], [], []
+    r, lam = params.r, params.noise_lambda
+    exact_rows, transcripts, faults = [], [], []
 
-    def branch(name, prob, guess, claim, accuse, fault):
-        delta = -R if accuse else (-win if guess == claim else lose)
-        exact_rows.append((f"entangled|{name}", prob, delta))
-        deltas.append(delta)
-        won.append(guess == claim)
-        accused.append(accuse)
+    def branch(kind, name, prob, guess, claim, check, fault):
+        verdict = _verdict_for(guess, claim)
+        t = RoundTranscript(kind, "entangled", guess, verdict, check,
+                            *settle(kind, verdict, check, params))
+        exact_rows.append((f"entangled|{name}", prob, t.alice_delta))
+        transcripts.append(t)
         faults.append(fault)
 
     def split(p0):
@@ -261,29 +265,31 @@ def _entangled_table(alice, bob, params) -> _BranchTable:
         q0 = min(p0, 1.0)
         return (q0, 1.0 - q0)
 
-    p0_local, p_fail, local = [], [], []
-    for g in LABELS:
-        pairs = local_measure_branches(psi, basis[g])
-        p0_local.append(pairs[0][0])
-        for j, (_, state) in enumerate(pairs):
+    local = {g: local_measure_branches(psi, basis[g]) for g in LABELS}
+    p0_local = [local[g][0][0] for g in LABELS]
+    unmeasured = []  # (guess, j, claim, P(j), check failure, fault) per checking branch
+    for g, p0 in zip(LABELS, p0_local):
+        for j, (_, sent) in enumerate(local[g]):
             claim = claims[(g, j)]
-            if state is None:
-                fault = (AssertionError, "sampled a zero-probability measurement branch")
-                p_fail.append(0.0)
+            if sent is None:
+                unmeasured.append((g, j, claim, split(p0)[j], 0.0,
+                                   (AssertionError, "sampled a zero-probability measurement branch")))
             else:
-                fault = None
-                p_fail.append(check_fail_probability(state, claim))
-            local.append((g, j, claim, split(pairs[0][0])[j], fault))
+                pf = check_fail_probability(received_state(sent, lam), claim)
+                unmeasured.append((g, j, claim, split(p0)[j], pf, None))
 
     povm = bob.measurement_povm()
     if povm is None:
         bounds = None
         p0_normal = p0_local
-        for g, j, claim, q, fault in local:
-            branch(f"normal|guess={g}|j={j}", (1.0 - r) / 3.0 * q, g, claim, False, fault)
+        for g, j, claim, q, _, fault in unmeasured:
+            branch(RoundKind.NORMAL, f"normal|guess={g}|j={j}", (1.0 - r) / 3.0 * q,
+                   g, claim, None, fault)
     else:
         pairs = remote_povm_branches(psi, povm)
-        probs = [p for p, _ in pairs]
+        weights = [w for w, _ in povm.pure_components]
+        probs = [(1.0 - lam) * p + lam * w / 2.0 if lam else p
+                 for (p, _), w in zip(pairs, weights)]
         try:
             bounds = outcome_bounds(probs)
             ends = (0.0, *bounds, 1.0)
@@ -294,34 +300,42 @@ def _entangled_table(alice, bob, params) -> _BranchTable:
             widths = probs  # their total is off, and the exact table says so
             sum_fault = (ValueError, str(exc))
         p0_normal = []
-        for k, (guess, (_, kept)) in enumerate(zip(povm.labels, pairs)):
-            if kept is None:
-                p0 = 0.0
+        for k, (guess, (p, kept)) in enumerate(zip(povm.labels, pairs)):
+            # on a clean channel p0 is the fidelity itself, not a ratio
+            p0 = 0.0 if kept is None else basis[guess][0].fidelity(kept)
+            if lam and probs[k]:
+                p0 = ((1.0 - lam) * p * p0 + lam * weights[k] / 2.0 * local[guess][0][0]) / probs[k]
+            fault = None
+            if kept is None and not lam:
                 fault = (AssertionError, "sampled a zero-probability POVM branch")
-            else:
-                p0 = basis[guess][0].fidelity(kept)
-                fault = None
             p0_normal.append(p0)
             for j, q in enumerate(split(p0)):
-                branch(f"normal|guess={guess}|j={j}", (1.0 - r) * widths[k] * q,
-                       guess, claims[(guess, j)], False, sum_fault or fault)
+                branch(RoundKind.NORMAL, f"normal|guess={guess}|j={j}",
+                       (1.0 - r) * widths[k] * q, guess, claims[(guess, j)], None,
+                       sum_fault or fault)
 
-    for (g, j, claim, q, fault), pf in zip(local, p_fail):
+    for g, j, claim, q, pf, fault in unmeasured:
         w = r / 3.0 * q
-        branch(f"checking|guess={g}|j={j}|pass", w * (1.0 - pf), g, claim, False, fault)
-        branch(f"checking|guess={g}|j={j}|accuse", w * pf, g, claim, True, fault)
+        branch(RoundKind.CHECKING, f"checking|guess={g}|j={j}|pass", w * (1.0 - pf),
+               g, claim, CheckResult.PASS, fault)
+        branch(RoundKind.CHECKING, f"checking|guess={g}|j={j}|accuse", w * pf,
+               g, claim, CheckResult.ACCUSE, fault)
 
+    deltas = [t.alice_delta for t in transcripts]
     return _BranchTable(
-        r, bounds, np.array(p0_normal), np.array(p0_local), np.array(p_fail), tuple(exact_rows),
-        np.array(deltas, dtype=float), np.array([float(d * d) for d in deltas]),
-        np.array(won), np.array(accused), tuple(faults))
+        r, bounds, np.array(p0_normal), np.array(p0_local),
+        np.array([u[4] for u in unmeasured]), tuple(exact_rows),
+        tuple(transcripts), np.array(deltas, dtype=float),
+        np.array([float(d * d) for d in deltas]),
+        np.array([t.verdict.result is RoundResult.BOB_WON for t in transcripts]),
+        np.array([t.check is CheckResult.ACCUSE for t in transcripts]), tuple(faults))
 
 
 def _table_branches(t: _BranchTable, u: np.ndarray) -> np.ndarray:
-    """The branch each row of uniforms plays, as run_round reads them:
-    column 0 the round kind, 1 the guess or the receiver's outcome, 2 the
-    sender's outcome j, and 3 the check, which reads column 2 instead when
-    p0 == 0 (the sender's outcome then draws nothing).
+    """The branch each row of uniforms plays: column 0 the round kind, 1 the
+    guess or the receiver's outcome, 2 the sender's outcome j, and 3 the
+    check, which reads column 2 instead when p0 == 0 (the sender's outcome
+    then draws nothing).
 
     Every row is played as a normal round first; then only the checking
     rows (column 0 below r) are gathered and played again as checking
@@ -347,28 +361,65 @@ def _accumulate(total: float, values: np.ndarray) -> float:
     return float(np.add.accumulate(values, out=values)[-1])
 
 
-def _table_sums(t: _BranchTable, seed, start, count):
-    """_block_sums from a branch table, one chunk of rows at a time."""
+def _trip_row(t: _BranchTable, branch: np.ndarray, counts: np.ndarray, params):
+    """Index of the row of branch at which abort_monitor trips, or None.
+
+    The chunk's checking rows go through the monitor in order, their
+    checks and accusations running on from the earlier chunks' counts."""
+    rows = np.flatnonzero(branch >= _NORMAL)
+    checks = int(counts[_NORMAL:].sum())
+    accs = np.cumsum(t.accused[branch[rows]]) + int(counts[t.accused].sum())
+    for i, a in enumerate(accs.tolist()):
+        if abort_monitor(checks + i + 1, a, params) is MonitorDecision.ABORT:
+            return int(rows[i])
+    return None
+
+
+def _table_sums(t: _BranchTable, seed, start, count, sink=None, params=None):
+    """_block_sums from a branch table, one chunk of rows at a time.
+
+    With params whose abort monitor is on, a chunk ends at the row that
+    trips it. sink, when given, then receives each row's transcript in
+    order, so the tripping row is written. A row on a faulty branch raises
+    after every row before it was written, unless the monitor tripped
+    first.
+    """
     s1 = s2 = 0.0
     counts = np.zeros(len(t.delta), dtype=np.int64)
     faulty = np.array([f is not None for f in t.faults])
+    monitor_on = params is not None and params.abort_threshold is not None
+    aborted = False
     done = 0
-    while done < count:
+    while done < count and not aborted:
         n = min(_CHUNK, count - done)
         branch = _table_branches(t, _round_rows(seed, start + done, n))
+        fault = None
         if faulty.any():
             hit = faulty[branch]
             if hit.any():
-                kind, message = t.faults[branch[hit.argmax()]]
-                raise kind(message)
+                first = int(hit.argmax())
+                fault = t.faults[branch[first]]
+                branch = branch[:first]
+        if monitor_on:
+            trip = _trip_row(t, branch, counts, params)
+            if trip is not None:
+                branch = branch[:trip + 1]
+                aborted = True
+                fault = None
+        if sink is not None:
+            for row in branch.tolist():
+                sink(t.transcripts[row])
+        if fault is not None:
+            kind, message = fault
+            raise kind(message)
         s1 = _accumulate(s1, t.delta[branch])
         s2 = _accumulate(s2, t.delta_sq[branch])
         counts += np.bincount(branch, minlength=len(counts))
-        done += n
+        done += len(branch)
     wins = int(counts[t.won].sum())
     checks = int(counts[_NORMAL:].sum())
     accs = int(counts[t.accused].sum())
-    return count, s1, s2, wins, count - wins, checks, accs, False
+    return done, s1, s2, wins, done - wins, checks, accs, aborted
 
 
 def _result_from_sums(n, s1, s2, wins, losses, checks, accs, aborted) -> SimResult:
@@ -437,11 +488,8 @@ def enumerate_exact(alice, params: ProtocolParams) -> ExactExpectation:
     sender's rows are her branch table, the one the simulation plays:
     ``entangled|normal|guess=g|j=..`` for the receiver's outcome g and her
     outcome j, and ``entangled|checking|guess=g|j=..|pass`` or ``|accuse``.
-    Entangled senders support no channel noise, as in the simulation.
     """
     if isinstance(alice, EntangledAlice):
-        if params.noise_lambda > 0.0:
-            raise ValueError("transit noise is not supported for entangled senders")
         table = _entangled_table(alice, BobStrategy.honest_optimal(), params)
         return _expectation(table.exact_rows)
     trine = trine_states()

@@ -14,13 +14,16 @@ The receiver never fabricates accusations here. Check outcomes come out of
 the projective test itself; a receiver lying about that outcome is outside
 the modeled threat set.
 
-Each random choice is drawn from the branch table the exact oracle reads
-(qubit.outcome_bounds, remote_povm_branches, local_measure_branches and
-check_fail_probability); sampling a zero-norm branch raises AssertionError.
+run_round plays one round of a separable sender, who sends a definite
+qubit; each random choice is drawn from the helper the exact oracle reads
+(qubit.outcome_bounds through sample_outcome, and check_fail_probability).
+An entangled sender, who keeps half of a pair, is never played here: her
+rounds come from the branch table montecarlo compiles, which builds its
+transcripts with the same RoundTranscript, settle and abort_monitor.
 
 Strategies are duck-typed: the sender object provides prepare/adjudicate,
-the receiver object provides act, measurement_povm and blind_guess. The
-strategies module supplies the standard implementations.
+the receiver object provides act and measurement_povm. The strategies
+module supplies the standard implementations.
 
 What the channel delivers for a prepared state is fixed for the run: it
 depends only on the state and the noise strength. received_state builds
@@ -40,14 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .qubit import (
-    LABEL_INDEX,
-    check_fail_probability,
-    depolarize,
-    remote_povm_branches,
-    sample_outcome,
-    uniform_label,
-)
+from .qubit import LABEL_INDEX, check_fail_probability, depolarize
 
 
 class RoundKind(Enum):
@@ -204,49 +200,15 @@ def run_round(alice, bob, params: ProtocolParams, rng) -> RoundTranscript:
     the qubit; the sender never learns it except through the payout.
     """
     prep = alice.prepare(rng)
-    wire = prep.wire
-    joint = prep.joint
-    if (wire is None) == (joint is None):
-        raise ProtocolFault(
-            "alice", "preparation must carry exactly one of a wire state or a joint state")
-    check: Optional[CheckResult] = None
-
-    if wire is not None:
-        received = received_state(wire, params.noise_lambda)
-        kind = RoundKind.CHECKING if rng.random() < params.r else RoundKind.NORMAL
-        act = bob.act(received, kind, rng)
-        guess = act.guess
-        verdict, _ = alice.adjudicate(prep, guess, None, rng)
-        _validate_verdict(verdict, guess)
-        if kind is RoundKind.CHECKING:
-            check = bob_check(act.stored, verdict.claimed, rng)
-    else:
-        if params.noise_lambda > 0.0:
-            raise ValueError("transit noise is not supported for entangled senders")
-        kind = RoundKind.CHECKING if rng.random() < params.r else RoundKind.NORMAL
-        if kind is RoundKind.NORMAL:
-            povm = bob.measurement_povm()
-            if povm is not None:
-                branches = remote_povm_branches(joint, povm)
-                k = sample_outcome([p for p, _ in branches], rng)
-                alice_system = branches[k][1]
-                if alice_system is None:
-                    raise AssertionError("sampled a zero-probability POVM branch")
-                guess = povm.labels[k]
-            else:
-                guess = bob.blind_guess(rng)
-                alice_system = joint
-            verdict, _ = alice.adjudicate(prep, guess, alice_system, rng)
-            _validate_verdict(verdict, guess)
-        else:
-            guess = uniform_label(rng)
-            verdict, bob_after = alice.adjudicate(prep, guess, joint, rng)
-            _validate_verdict(verdict, guess)
-            if bob_after is None:
-                raise ProtocolFault(
-                    "alice", "entangled sender must surrender the collapsed qubit for checking")
-            check = bob_check(bob_after, verdict.claimed, rng)
-
+    received = received_state(prep.wire, params.noise_lambda)
+    kind = RoundKind.CHECKING if rng.random() < params.r else RoundKind.NORMAL
+    act = bob.act(received, kind, rng)
+    guess = act.guess
+    verdict, _ = alice.adjudicate(prep, guess, None, rng)
+    _validate_verdict(verdict, guess)
+    check = None
+    if kind is RoundKind.CHECKING:
+        check = bob_check(act.stored, verdict.claimed, rng)
     alice_delta, bob_delta = settle(kind, verdict, check, params)
     return RoundTranscript(kind, prep.descriptor, guess, verdict, check,
                            alice_delta, bob_delta)

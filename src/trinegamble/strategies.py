@@ -6,9 +6,12 @@ keeps half of a pure two-qubit state and picks her claim from lookup
 tables after hearing the guess. Receivers: the honest optimal
 discriminator and a blind receiver who guesses uniformly.
 
-Strategies are stateless. prepare() returns everything the later
-adjudication needs, so one instance can serve any number of rounds and
-pickles cleanly across worker processes.
+Strategies are stateless, so one instance can serve any number of rounds
+and pickles cleanly across worker processes. A separable sender's
+prepare() returns everything her later adjudicate() needs, and
+protocol.run_round plays her round by round. An entangled sender is data
+only: montecarlo compiles her policies into a branch table and plays and
+enumerates her from it.
 """
 
 from __future__ import annotations
@@ -56,21 +59,18 @@ def in_plane_state(angle: float) -> PureState:
 
 @dataclass(frozen=True)
 class Preparation:
-    """What the sender fixed before transmission.
-
-    Exactly one of wire (a definite qubit) or joint (a kept-plus-sent pair)
-    is set. claim is the pre-committed claim for separable senders; the
-    entangled sender decides hers at adjudication time.
+    """What a separable sender fixed before transmission: the qubit she
+    sends and the claim she committed to. An entangled sender prepares no
+    single qubit; she plays from her branch table instead.
     """
 
     descriptor: str
-    wire: Optional[PureState]
-    joint: Optional[TwoQubitState]
-    claim: Optional[str]
+    wire: PureState
+    claim: str
 
 
 _HONEST_PREPS = tuple(
-    Preparation(f"trine:{lab}", TRINE[lab], None, lab) for lab in LABELS
+    Preparation(f"trine:{lab}", TRINE[lab], lab) for lab in LABELS
 )
 
 
@@ -107,7 +107,7 @@ class FixedStateCheat:
             raise ValueError(f"unknown trine label {self.claim!r}")
         theta = 2.0 * math.acos(min(1.0, math.sqrt(TRINE[self.claim].fidelity(self.state))))
         object.__setattr__(self, "_prep", Preparation(
-            f"fixed:claim={self.claim},theta={theta:.6g}", self.state, None, self.claim))
+            f"fixed:claim={self.claim},theta={theta:.6g}", self.state, self.claim))
 
     @classmethod
     def from_angle(cls, theta_a: float, claim: str = "a") -> "FixedStateCheat":
@@ -147,7 +147,7 @@ class MixtureCheat:
             if not isinstance(s, PureState):
                 raise ValueError("mixture components must carry PureState entries")
             total += p
-            preps.append(Preparation(f"mix:{i}:claim={c}", s, None, c))
+            preps.append(Preparation(f"mix:{i}:claim={c}", s, c))
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"component probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "components", comps)
@@ -186,7 +186,10 @@ class EntangledAlice:
 
     After hearing the guess g she measures her qubit in basis_policy[g]
     (an orthonormal pair) and claims claim_policy[(g, outcome)]. Both
-    policies are finite lookup tables fixed before the game starts.
+    policies are finite lookup tables fixed before the game starts, so the
+    whole game she plays is a finite branch tree: montecarlo's
+    _entangled_table compiles it, and simulate and enumerate_exact play and
+    sum it. She has no prepare or adjudicate of her own.
     """
 
     psi: TwoQubitState
@@ -208,30 +211,6 @@ class EntangledAlice:
         for key, lab in self.claim_policy.items():
             if lab not in LABEL_INDEX:
                 raise ValueError(f"claim policy maps {key!r} to unknown label {lab!r}")
-        object.__setattr__(self, "_prep", Preparation("entangled", None, self.psi, None))
-
-    def prepare(self, rng) -> Preparation:
-        return self._prep
-
-    def adjudicate(self, prep: Preparation, guess: str, alice_system, rng):
-        basis = self.basis_policy[guess]
-        if isinstance(alice_system, TwoQubitState):
-            # receiver has not measured: collapse the pair, surrender his half
-            branches = local_measure_branches(alice_system, basis)
-            p0 = branches[0][0]
-        elif isinstance(alice_system, PureState):
-            # receiver already measured: only the kept conditional state remains
-            branches = None
-            p0 = basis[0].fidelity(alice_system)
-        else:
-            raise ValueError("entangled sender needs her conditional system to adjudicate")
-        j = 0 if (p0 > 0.0 and rng.random() < p0) else 1
-        bob_state = None
-        if branches is not None:
-            bob_state = branches[j][1]
-            if bob_state is None:
-                raise AssertionError("sampled a zero-probability measurement branch")
-        return _verdict_for(guess, self.claim_policy[(guess, j)]), bob_state
 
 
 def singlet_mirror() -> EntangledAlice:

@@ -1,9 +1,13 @@
-"""The branch-table engine against the scalar loop: same rows, same tuple.
+"""The branch-table engine against the scalar reference round: same rows,
+same tuple, same transcripts, same trip row.
 
-An entangled sender compiled into its branch table must return exactly
-the totals that playing each round through run_round returns, bit for
-bit, for every receiver, checking rate, seed, offset and length; and it
-must fail where the scalar round fails.
+An entangled sender plays only from her compiled branch table. The
+reference (entangled_reference.run_round, installed over
+montecarlo.run_round) plays her one uniform at a time through the scalar
+loop. Both must return exactly the same totals, bit for bit, for every
+receiver, checking rate, seed, offset and length; write the same
+transcript lines; trip the abort monitor on the same row; and fail where
+the other fails.
 """
 
 import math
@@ -21,10 +25,9 @@ from trinegamble.montecarlo import (
     _result_from_sums,
     _scalar_sums,
     _table_branches,
-    _table_sums,
     simulate,
 )
-from trinegamble.protocol import CheckResult, ProtocolParams, RoundKind
+from trinegamble.protocol import CheckResult, ProtocolParams, RoundKind, transcript_line
 from trinegamble.qubit import LABELS, Povm, PureState, TwoQubitState, trine_states, uniform_label
 from trinegamble.strategies import (
     BobStrategy,
@@ -36,6 +39,7 @@ from trinegamble.strategies import (
     singlet_mirror,
 )
 
+import entangled_reference
 from conftest import closed_form_attack
 
 TRINE = trine_states()
@@ -77,19 +81,76 @@ def test_the_blank_outcome_sender_exercises_the_shifted_check():
     assert np.all((0.0 < reached) & (reached < 1.0))
 
 
-def _both(alice, bob, params, seed, start, count):
-    table = _table_sums(_entangled_table(alice, bob, params), seed, start, count)
-    scalar = _scalar_sums(alice, bob, params, seed, start, count)
-    return table, scalar
+@pytest.fixture
+def reference(monkeypatch):
+    """The scalar loop, playing entangled senders through the reference round."""
+    monkeypatch.setattr(montecarlo, "run_round", entangled_reference.run_round)
+    return _scalar_sums
+
+
+def _play(play, alice, bob, params, seed, start, count):
+    """A run's tuple and the transcript lines it wrote."""
+    lines, rendered = [], {}
+
+    def sink(t):
+        if t not in rendered:
+            rendered[t] = transcript_line(t)
+        lines.append(rendered[t])
+
+    sums = play(alice, bob, params, seed, start, count, sink)
+    return sums, lines
+
+
+def _monitored(params, threshold, min_checks):
+    return ProtocolParams(r=params.r, R=params.R, p=params.p, lose_payout=params.lose_payout,
+                          abort_threshold=threshold, abort_min_checks=min_checks)
 
 
 @pytest.mark.parametrize("r", sorted(PARAMS))
 @pytest.mark.parametrize("bob", sorted(BOBS))
 @pytest.mark.parametrize("sender", sorted(SENDERS))
-def test_table_matches_the_scalar_loop_bit_for_bit(sender, bob, r):
+def test_table_matches_the_scalar_loop_bit_for_bit(reference, sender, bob, r):
+    alice, bob, params = SENDERS[sender], BOBS[bob], PARAMS[r]
     for seed, start, count in ((BIG_SEED, 0, 3), (BIG_SEED, 77, 3), (5, 77, 1_500)):
-        table, scalar = _both(SENDERS[sender], BOBS[bob], PARAMS[r], seed, start, count)
-        assert table == scalar
+        table = _play(_block_sums, alice, bob, params, seed, start, count)
+        assert table == _play(reference, alice, bob, params, seed, start, count)
+        assert len(table[1]) == count
+        # the unwatched chunk loop, which skips transcripts, gives the same tuple
+        assert _block_sums(alice, bob, params, seed, start, count) == table[0]
+
+
+@pytest.mark.parametrize("r", sorted(PARAMS))
+@pytest.mark.parametrize("bob", sorted(BOBS))
+@pytest.mark.parametrize("sender", sorted(SENDERS))
+def test_the_monitor_trips_on_the_same_row(reference, sender, bob, r):
+    alice, bob, plain = SENDERS[sender], BOBS[bob], PARAMS[r]
+    _, lines = _play(_block_sums, alice, bob, plain, 5, 77, 1_500)
+    accused = [i for i, line in enumerate(lines) if '"check":"accuse"' in line]
+    exact = {name: p for name, p, _ in _entangled_table(alice, bob, plain).exact_rows}
+    rate = math.fsum(p for name, p in exact.items() if name.endswith("accuse")) / r if r else 0.0
+    for threshold, min_checks in ((0.0, 1), (rate, 10), (1.0, 1)):
+        params = _monitored(plain, threshold, min_checks)
+        table = _play(_block_sums, alice, bob, params, 5, 77, 1_500)
+        assert table == _play(reference, alice, bob, params, 5, 77, 1_500)
+        sums, played = table
+        assert sums[0] == len(played) and played == lines[:len(played)]
+        if threshold == 0.0:
+            # trips on the first accusation, or never
+            assert sums[7] == bool(accused) and sums[0] == (accused[0] + 1 if accused else 1_500)
+        if threshold == 1.0:
+            assert not sums[7] and sums[0] == 1_500
+
+
+@pytest.mark.parametrize("sender, bob", [("aligned", "honest"), ("attack", "blind")])
+def test_the_monitor_trips_past_the_first_chunk(reference, sender, bob):
+    # no trip before 35k checks, about 70k rows in at r = 0.5
+    params = _monitored(PARAMS[0.5], 0.0, 35_000)
+    count = 3 * _CHUNK
+    table = _play(_block_sums, SENDERS[sender], BOBS[bob], params, BIG_SEED, 77, count)
+    assert table == _play(reference, SENDERS[sender], BOBS[bob], params, BIG_SEED, 77, count)
+    sums, lines = table
+    assert sums[7] and sums[5] == 35_000 and _CHUNK < sums[0] == len(lines) < count
+    assert '"kind":"checking"' in lines[-1]
 
 
 @pytest.mark.parametrize("sender, bob, r", [
@@ -98,15 +159,19 @@ def test_table_matches_the_scalar_loop_bit_for_bit(sender, bob, r):
     ("attack", "honest", 0.05),
     ("random:0", "blind", 0.5),
 ])
-def test_table_matches_the_scalar_loop_over_several_chunks(sender, bob, r):
+def test_table_matches_the_scalar_loop_over_several_chunks(reference, sender, bob, r):
     count = 70_000
     assert count > _CHUNK
-    table, scalar = _both(SENDERS[sender], BOBS[bob], PARAMS[r], BIG_SEED, 77, count)
-    assert table == scalar
+    alice, bob = SENDERS[sender], BOBS[bob]
+    table = _block_sums(alice, bob, PARAMS[r], BIG_SEED, 77, count)
+    assert table == reference(alice, bob, PARAMS[r], BIG_SEED, 77, count)
     assert table[0] == count and table[5] > 0
+    # a monitor that holds watches every chunk and changes nothing
+    held = _play(_block_sums, alice, bob, _monitored(PARAMS[r], 1.0, 1), BIG_SEED, 77, count)
+    assert held[0] == table and len(held[1]) == count
 
 
-def test_split_runs_match_the_scalar_split():
+def test_split_runs_match_the_scalar_split(reference):
     # the pool's workers play their blocks from the table too; the totals
     # equal the scalar loop's blocks merged in the same order
     params = PARAMS[0.5]
@@ -114,8 +179,8 @@ def test_split_runs_match_the_scalar_split():
         alice = SENDERS[name]
         config = SimConfig(rounds=9_001, seed=BIG_SEED, params=params, alice=alice,
                            bob=BOBS["honest"], workers=2)
-        halves = [_scalar_sums(alice, BOBS["honest"], params, BIG_SEED, 0, 4_501),
-                  _scalar_sums(alice, BOBS["honest"], params, BIG_SEED, 4_501, 4_500)]
+        halves = [reference(alice, BOBS["honest"], params, BIG_SEED, 0, 4_501),
+                  reference(alice, BOBS["honest"], params, BIG_SEED, 4_501, 4_500)]
         totals = [a + b for a, b in zip(*halves)]
         assert simulate(config) == _result_from_sums(*totals)
 
@@ -139,9 +204,9 @@ def _transcript_branch(alice, t):
     return _NORMAL + 2 * (2 * g + j) + (t.check is CheckResult.ACCUSE)
 
 
-def _rows_match(alice, bob, params, seed, start, count):
+def _rows_match(reference, alice, bob, params, seed, start, count):
     played = []
-    _scalar_sums(alice, bob, params, seed, start, count, sink=played.append)
+    reference(alice, bob, params, seed, start, count, sink=played.append)
     branch = _table_branches(_entangled_table(alice, bob, params),
                              montecarlo._round_rows(seed, start, count))
     assert branch.tolist() == [_transcript_branch(alice, t) for t in played]
@@ -154,8 +219,8 @@ ROW_SENDERS = ("aligned", "singlet", "blank-first-outcome", "random:0", "random:
 @pytest.mark.parametrize("r", sorted(PARAMS))
 @pytest.mark.parametrize("bob", sorted(BOBS))
 @pytest.mark.parametrize("sender", ROW_SENDERS)
-def test_each_row_plays_the_branch_its_scalar_round_names(sender, bob, r):
-    branch = _rows_match(_telling(SENDERS[sender]), BOBS[bob], PARAMS[r], 5, 77, 3_000)
+def test_each_row_plays_the_branch_its_scalar_round_names(reference, sender, bob, r):
+    branch = _rows_match(reference, _telling(SENDERS[sender]), BOBS[bob], PARAMS[r], 5, 77, 3_000)
     checking = branch >= _NORMAL
     if r == 0.0:
         assert not checking.any()  # the gathered set of checking rows is empty
@@ -165,7 +230,7 @@ def test_each_row_plays_the_branch_its_scalar_round_names(sender, bob, r):
 
 @pytest.mark.parametrize("bob", sorted(BOBS))
 @pytest.mark.parametrize("sender", ROW_SENDERS)
-def test_an_all_checking_chunk_matches_row_by_row(monkeypatch, sender, bob):
+def test_an_all_checking_chunk_matches_row_by_row(monkeypatch, reference, sender, bob):
     real = montecarlo._round_rows
 
     def all_checking(seed, start, count):
@@ -175,22 +240,22 @@ def test_an_all_checking_chunk_matches_row_by_row(monkeypatch, sender, bob):
 
     monkeypatch.setattr(montecarlo, "_round_rows", all_checking)
     alice, params = _telling(SENDERS[sender]), PARAMS[0.05]
-    branch = _rows_match(alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
+    branch = _rows_match(reference, alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
     assert (branch >= _NORMAL).all()
-    table, scalar = _both(alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
-    assert table == scalar and table[5] == 3_000
+    table = _block_sums(alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
+    assert table == reference(alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
+    assert table[5] == 3_000
 
 
 # ---------------------------------------------------------------------------
 # which runs take the table
 
 
-class _OwnAdjudicate(EntangledAlice):
-    def adjudicate(self, prep, guess, alice_system, rng):
-        return super().adjudicate(prep, guess, alice_system, rng)
+class _Subclass(EntangledAlice):
+    """A subclass adds nothing an entangled round could call."""
 
 
-def test_only_plain_entangled_runs_take_the_table(monkeypatch):
+def test_every_entangled_run_takes_the_table(monkeypatch):
     calls = []
     real = montecarlo._table_sums
     monkeypatch.setattr(montecarlo, "_table_sums", lambda *args: calls.append(1) or real(*args))
@@ -199,16 +264,13 @@ def test_only_plain_entangled_runs_take_the_table(monkeypatch):
     bob = BOBS["honest"]
     _block_sums(alice, bob, plain, 1, 0, 10)
     _block_sums(alice, BOBS["blind"], plain, 1, 0, 10)
-    assert len(calls) == 2
-    monitored = ProtocolParams(r=0.5, R=398.0, abort_threshold=0.9)
-    subclass = _OwnAdjudicate(alice.psi, alice.basis_policy, alice.claim_policy)
     _block_sums(alice, bob, plain, 1, 0, 10, sink=lambda t: None)
-    _block_sums(alice, bob, monitored, 1, 0, 10)
-    _block_sums(subclass, bob, plain, 1, 0, 10)
+    _block_sums(alice, bob, ProtocolParams(r=0.5, R=398.0, abort_threshold=0.9), 1, 0, 10)
+    _block_sums(alice, bob, ProtocolParams(r=0.5, R=398.0, noise_lambda=0.1), 1, 0, 10)
+    _block_sums(_Subclass(alice.psi, alice.basis_policy, alice.claim_policy), bob, plain, 1, 0, 10)
+    assert len(calls) == 6
     _block_sums(FixedStateCheat.from_angle(1.0, "a"), bob, plain, 1, 0, 10)
-    with pytest.raises(ValueError, match="noise"):
-        _block_sums(alice, bob, ProtocolParams(r=0.5, R=398.0, noise_lambda=0.1), 1, 0, 10)
-    assert len(calls) == 2
+    assert len(calls) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -221,39 +283,81 @@ def _rows_of(row):
     return round_rows
 
 
-def _same_failure(monkeypatch, alice, bob, params, row):
+def _same_failure(monkeypatch, reference, alice, bob, params, row):
     monkeypatch.setattr(montecarlo, "_round_rows", _rows_of(row))
-    table = _entangled_table(alice, bob, params)
     errors = []
-    for play in (lambda: _table_sums(table, 1, 0, 5),
-                 lambda: _scalar_sums(alice, bob, params, 1, 0, 5)):
+    for play in (_block_sums, reference):
         with pytest.raises((AssertionError, ValueError)) as info:
-            play()
+            play(alice, bob, params, 1, 0, 5)
         errors.append((info.type, str(info.value)))
     assert errors[0] == errors[1]
     return errors[0]
 
 
-def test_a_sampled_zero_norm_measurement_branch_raises(monkeypatch):
-    # the sender's first outcome has probability about 1e-14: a uniform of 0 hits it
+def _zero_norm_outcome():
+    """The sender's first outcome has probability about 1e-14; her second
+    leaves the sent half in trine b, which fails a check on a at 3/4."""
     kept = PureState(1.0, 0.0)
     u = PureState.from_unnormalized(1e-7, 1.0)
-    alice = EntangledAlice(TwoQubitState.from_product(kept, TRINE["b"]),
-                           {g: (u, u.orthogonal()) for g in LABELS},
-                           {(g, j): g for g in LABELS for j in (0, 1)})
-    kind, message = _same_failure(monkeypatch, alice, BOBS["honest"],
+    return EntangledAlice(TwoQubitState.from_product(kept, TRINE["b"]),
+                          {g: (u, u.orthogonal()) for g in LABELS},
+                          {(g, j): g for g in LABELS for j in (0, 1)})
+
+
+def test_a_sampled_zero_norm_measurement_branch_raises(monkeypatch, reference):
+    # a uniform of 0 hits the sender's first outcome
+    kind, message = _same_failure(monkeypatch, reference, _zero_norm_outcome(), BOBS["honest"],
                                   ProtocolParams(r=0.5, R=398.0), [0.0] * 8)
     assert kind is AssertionError and "zero-probability measurement" in message
 
 
-def test_a_sampled_zero_norm_povm_branch_raises(monkeypatch):
+# rows for _zero_norm_outcome at r = 0.5: a normal round the receiver wins,
+# a checking round on guess a that accuses, and one that hits the zero-norm outcome
+ROWS = {"normal": [0.9] + [0.5] * 7, "accuse": [0.0, 0.1, 0.5, 0.1] + [0.5] * 4,
+        "fault": [0.0] * 8}
+
+
+def _outcome(play, alice, params, count):
+    """A run's tuple, or the error it raised, and the lines it wrote first."""
+    lines = []
+    try:
+        sums = play(alice, BOBS["honest"], params, 1, 0, count,
+                    lambda t: lines.append(transcript_line(t)))
+    except AssertionError as exc:
+        sums = (type(exc), str(exc))
+    return sums, lines
+
+
+@pytest.mark.parametrize("order, threshold, written", [
+    (("normal", "accuse", "fault"), 0.5, 2),  # the trip comes first and wins
+    (("normal", "fault", "accuse"), 0.5, 1),  # the fault comes first and raises
+    (("normal", "accuse", "fault"), None, 2),  # nothing watches: the fault raises
+])
+def test_a_fault_row_raises_unless_the_monitor_tripped_first(monkeypatch, reference, order,
+                                                             threshold, written):
+    table = np.array([ROWS[name] for name in order])
+    monkeypatch.setattr(montecarlo, "_round_rows",
+                        lambda seed, start, count: table[start:start + count].copy())
+    params = ProtocolParams(r=0.5, R=398.0, abort_threshold=threshold)
+    alice = _zero_norm_outcome()
+    got = _outcome(_block_sums, alice, params, 3)
+    assert got == _outcome(reference, alice, params, 3)
+    sums, lines = got
+    assert len(lines) == written
+    if order.index("accuse") < order.index("fault") and threshold is not None:
+        assert sums[0] == 2 and sums[6] == 1 and sums[7] is True
+    else:
+        assert sums == (AssertionError, "sampled a zero-probability measurement branch")
+
+
+def test_a_sampled_zero_norm_povm_branch_raises(monkeypatch, reference):
     # the sent qubit is all but orthogonal to trine a: outcome a has
     # probability about 1e-14, and a uniform of 0 in a normal round hits it
     sent = in_plane_state(math.pi - 2e-7)
     alice = EntangledAlice(TwoQubitState.from_product(PureState(1.0, 0.0), sent),
                            {g: (TRINE[g], TRINE[g].orthogonal()) for g in LABELS},
                            {(g, j): g for g in LABELS for j in (0, 1)})
-    kind, message = _same_failure(monkeypatch, alice, BOBS["honest"],
+    kind, message = _same_failure(monkeypatch, reference, alice, BOBS["honest"],
                                   ProtocolParams(r=0.5, R=398.0), [0.9] + [0.0] * 7)
     assert kind is AssertionError and "zero-probability POVM" in message
 
@@ -273,14 +377,73 @@ class _SlackBob:
         return uniform_label(rng)
 
 
-def test_povm_probabilities_off_their_sum_raise_in_normal_rounds(monkeypatch):
+def test_povm_probabilities_off_their_sum_raise_in_normal_rounds(monkeypatch, reference):
     psi = TwoQubitState(math.sqrt(1.0 + 0.9e-9), 0.0, 0.0, 0.0)
     alice = EntangledAlice(psi, {g: (TRINE[g], TRINE[g].orthogonal()) for g in LABELS},
                            {(g, j): g for g in LABELS for j in (0, 1)})
     params = ProtocolParams(r=0.5, R=398.0)
-    kind, message = _same_failure(monkeypatch, alice, _SlackBob(), params, [0.9] + [0.5] * 7)
+    kind, message = _same_failure(monkeypatch, reference, alice, _SlackBob(), params,
+                                  [0.9] + [0.5] * 7)
     assert kind is ValueError and "sum to 1" in message
     # checking rounds never sample the receiver's POVM, on either path
     monkeypatch.setattr(montecarlo, "_round_rows", _rows_of([0.1] + [0.5] * 7))
-    table = _table_sums(_entangled_table(alice, _SlackBob(), params), 1, 0, 5)
-    assert table == _scalar_sums(alice, _SlackBob(), params, 1, 0, 5)
+    table = _block_sums(alice, _SlackBob(), params, 1, 0, 5)
+    assert table == reference(alice, _SlackBob(), params, 1, 0, 5)
+
+
+# ---------------------------------------------------------------------------
+# channel noise depolarizes the sent half
+
+
+def _projector(state):
+    v = np.array([state.a0, state.a1], dtype=complex)
+    return np.outer(v, v.conj())
+
+
+def _density_rows(alice, bob, params):
+    """Every branch's probability as Tr[(P_u x E) rho] on the 4x4 density of
+    the pair after the channel, (1 - lam) |psi><psi| + lam rho_kept x I/2."""
+    v = alice.psi.vector()
+    pure = np.outer(v, v.conj())
+    kept = np.trace(pure.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+    lam, r = params.noise_lambda, params.r
+    rho = (1.0 - lam) * pure + lam * np.kron(kept, np.eye(2) / 2.0)
+    povm = bob.measurement_povm()
+
+    def prob(u, e):
+        return np.trace(np.kron(_projector(u), e) @ rho).real
+
+    rows = {}
+    for k, g in enumerate(LABELS):
+        for j, u in enumerate(alice.basis_policy[g]):
+            if povm is None:
+                rows[f"entangled|normal|guess={g}|j={j}"] = (1.0 - r) / 3.0 * prob(u, np.eye(2))
+            else:
+                rows[f"entangled|normal|guess={g}|j={j}"] = (1.0 - r) * prob(u, povm.elements[k])
+            claim = _projector(TRINE[alice.claim_policy[(g, j)]])
+            rows[f"entangled|checking|guess={g}|j={j}|pass"] = r / 3.0 * prob(u, claim)
+            rows[f"entangled|checking|guess={g}|j={j}|accuse"] = (
+                r / 3.0 * prob(u, np.eye(2) - claim))
+    return rows
+
+
+@pytest.mark.parametrize("bob", sorted(BOBS))
+def test_a_noisy_table_matches_the_density_matrix(bob):
+    rng = np.random.default_rng(2026)
+    for _ in range(50):
+        alice = random_entangled_policy(rng)
+        params = ProtocolParams(r=float(rng.uniform(0.0, 0.9)), R=398.0,
+                                noise_lambda=float(rng.uniform(0.0, 1.0)))
+        got = {name: p for name, p, _ in _entangled_table(alice, BOBS[bob], params).exact_rows}
+        want = _density_rows(alice, BOBS[bob], params)
+        assert sorted(got) == sorted(want)
+        assert max(abs(got[name] - want[name]) for name in got) < 1e-12
+
+
+def test_a_fully_depolarizing_channel_leaves_the_receiver_nothing():
+    params = ProtocolParams(r=0.3, R=398.0, noise_lambda=1.0)
+    for alice in (SENDERS["aligned"], SENDERS["random:4"]):
+        table = _entangled_table(alice, BOBS["honest"], params)
+        assert np.allclose(np.diff((0.0, *table.bounds, 1.0)), 1.0 / 3.0, atol=1e-15)
+        assert np.allclose(table.p0_normal, table.p0_local[[LABELS.index(g) for g in LABELS]])
+        assert np.allclose(table.p_fail, 0.5)

@@ -167,7 +167,6 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     ["simulate", "--rounds", "100", "--penalty-R", "0"],
     ["simulate", "--rounds", "0"],
     ["simulate", "--rounds", "100", "--format", "xml"],
-    ["simulate", "--rounds", "100", "--alice", "entangled:singlet", "--noise", "0.1"],
     ["analytic", "--theta-a", "7.0"],
     ["analytic"],
     ["sweep-theta", "--points", "1", "--rounds", "10"],
@@ -226,6 +225,23 @@ def test_a_bad_sweep_angle_fails_before_any_row(tmp_path, monkeypatch, capsys):
                                    "--seed", "1", "--output", str(target)])
     assert code == 1 and out == "" and not target.exists()
     assert err.splitlines()[-1] == "error: cheat angle must lie in [0, pi], got 4.0"
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--rounds", "need at least one round, got 0"),
+    ("--workers", "need at least one worker, got 0"),
+])
+@pytest.mark.parametrize("command", ["sweep-theta", "sweep-r"])
+def test_bad_sweep_flags_leave_the_output_untouched(tmp_path, monkeypatch, capsys, command,
+                                                    flag, message):
+    monkeypatch.setattr("trinegamble.cli.simulate", _no_simulate)
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"a line that must survive\n")
+    argv = [command, "--rounds", "10", "--seed", "1", flag, "0", "--output", str(target)]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert target.read_bytes() == b"a line that must survive\n"
 
 
 @pytest.mark.parametrize("command", ["sweep-theta", "sweep-r"])

@@ -40,6 +40,7 @@ from trinegamble.strategies import (
 from trinegamble.qubit import LABELS, PureState, TwoQubitState, trine_states
 
 from conftest import closed_form_attack, tally
+from entangled_reference import run_round as reference_round
 
 TRINE = trine_states()
 PARAMS = ProtocolParams(r=0.05, R=398.0)
@@ -165,12 +166,15 @@ def test_every_strategy_combo_fits_the_draw_budget():
          ProtocolParams(r=0.5, R=398.0)),
         (MixtureCheat(((0.5, TRINE["a"], "a"), (0.5, TRINE["b"], "b"))),
          BobStrategy.honest_optimal(), ProtocolParams(r=0.5, R=398.0)),
+        # entangled senders play from their table; the reference round
+        # reads the same uniforms one at a time
         (singlet_mirror(), BobStrategy.honest_optimal(), ProtocolParams(r=0.5, R=398.0)),
         (aligned_pair(), BobStrategy.random_guess(), ProtocolParams(r=0.5, R=398.0)),
     ]
     for i, (alice, bob, params) in enumerate(combos):
+        play = reference_round if isinstance(alice, EntangledAlice) else run_round
         for row in _round_rows(1000 + i, 0, 2_000):
-            run_round(alice, bob, params, _StrictRow(row))
+            play(alice, bob, params, _StrictRow(row))
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +284,29 @@ def test_exact_entangled_table_is_a_distribution():
     assert abs(normal - (1.0 - PARAMS.r)) < 1e-12
 
 
-def test_exact_entangled_rejects_noise():
-    with pytest.raises(ValueError, match="noise"):
-        enumerate_exact(singlet_mirror(), ProtocolParams(r=0.05, R=398.0, noise_lambda=0.1))
+def test_exact_entangled_gain_under_noise():
+    # the aligned pair: every receiver outcome is 1/3 likely, noisy or not,
+    # and the sender's kept qubit then agrees with it (j = 0) unless the
+    # channel replaced the sent half, so j = 0 has odds 1 - lam/2
+    alice = aligned_pair()
+    for lam in (0.0, 0.1, 1.0):
+        exact = enumerate_exact(alice, ProtocolParams(r=0.05, R=398.0, noise_lambda=lam))
+        table = {name: p for name, p, _ in exact.branch_table}
+        assert abs(math.fsum(table.values()) - 1.0) < 1e-12
+        for g in LABELS:
+            normal = [table[f"entangled|normal|guess={g}|j={j}"] for j in (0, 1)]
+            assert abs(sum(normal) - 0.95 / 3.0) < 1e-12
+            assert abs(normal[0] - 0.95 / 3.0 * (1.0 - lam / 2.0)) < 1e-12
+    # noise only costs her: less agreement in normal rounds, more failed checks
+    gains = [enumerate_exact(alice, ProtocolParams(r=0.05, R=398.0, noise_lambda=lam)).g_alice
+             for lam in (0.0, 0.1, 0.5)]
+    assert gains[0] > gains[1] > gains[2]
+
+
+def test_simulated_noisy_entangled_gain_agrees_with_oracle():
+    params = ProtocolParams(r=0.05, R=398.0, noise_lambda=0.1)
+    for seed, alice in enumerate((aligned_pair(), random_entangled_policy(np.random.default_rng(5)))):
+        assert abs(_z_for(alice, params, 200_000, seed=seed)) < 4.0
 
 
 def test_exact_rejects_unknown_senders():

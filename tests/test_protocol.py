@@ -30,7 +30,6 @@ from trinegamble.strategies import (
     FixedStateCheat,
     HonestAlice,
     Preparation,
-    singlet_mirror,
 )
 from trinegamble.qubit import BlochVector, state_from_bloch, trine_states
 
@@ -170,7 +169,7 @@ def test_monitor_no_checks_yet():
 
 
 # ---------------------------------------------------------------------------
-# full rounds, separable senders
+# full rounds
 
 
 def _play(alice, bob, params, n, seed=0):
@@ -260,42 +259,10 @@ class _LyingAlice:
     """Claims the guessed label but rules the round lost anyway."""
 
     def prepare(self, rng):
-        return Preparation("lie", trine_states()["a"], None, "a")
+        return Preparation("lie", trine_states()["a"], "a")
 
     def adjudicate(self, prep, guess, alice_system, rng):
         return Verdict(RoundResult.BOB_LOST, guess), None
-
-
-class _TwoSystemAlice:
-    def prepare(self, rng):
-        from trinegamble.qubit import TwoQubitState
-        return Preparation("both", trine_states()["a"], TwoQubitState.singlet(), "a")
-
-    def adjudicate(self, prep, guess, alice_system, rng):
-        return Verdict(RoundResult.BOB_WON, guess), None
-
-
-class _NoSystemAlice:
-    def prepare(self, rng):
-        return Preparation("neither", None, None, "a")
-
-    def adjudicate(self, prep, guess, alice_system, rng):
-        return Verdict(RoundResult.BOB_WON, guess), None
-
-
-class _WithholdingAlice:
-    """Entangled sender who refuses to surrender the checked qubit."""
-
-    def __init__(self):
-        from trinegamble.qubit import TwoQubitState
-        self._prep = Preparation("withhold", None, TwoQubitState.singlet(), None)
-
-    def prepare(self, rng):
-        return self._prep
-
-    def adjudicate(self, prep, guess, alice_system, rng):
-        # consistent verdict, but no surrendered qubit even when checked
-        return Verdict(RoundResult.BOB_WON, guess), None
 
 
 def test_inconsistent_verdict_is_a_sender_fault():
@@ -303,47 +270,3 @@ def test_inconsistent_verdict_is_a_sender_fault():
     with pytest.raises(ProtocolFault) as ei:
         run_round(_LyingAlice(), BobStrategy.honest_optimal(), PARAMS, rng)
     assert ei.value.party == "alice"
-
-
-def test_preparation_must_carry_exactly_one_system():
-    rng = random.Random(82)
-    for alice in (_TwoSystemAlice(), _NoSystemAlice()):
-        with pytest.raises(ProtocolFault) as ei:
-            run_round(alice, BobStrategy.honest_optimal(), PARAMS, rng)
-        assert ei.value.party == "alice"
-
-
-def test_entangled_sender_must_surrender_checked_qubit():
-    rng = random.Random(83)
-    params = ProtocolParams(r=0.9, R=398.0)
-    with pytest.raises(ProtocolFault) as ei:
-        for _ in range(200):  # a checking round arrives almost immediately
-            run_round(_WithholdingAlice(), BobStrategy.honest_optimal(), params, rng)
-    assert ei.value.party == "alice"
-    assert "surrender" in str(ei.value)
-
-
-# ---------------------------------------------------------------------------
-# entangled senders through the engine
-
-
-def test_entangled_round_basics():
-    led = _play(singlet_mirror(), BobStrategy.honest_optimal(),
-                ProtocolParams(r=0.5, R=398.0), 10_000, seed=91)
-    assert led.wins + led.losses == led.rounds == 10_000
-    assert led.alice_total == -led.bob_total
-    assert led.checks > 4_000
-
-
-def test_entangled_sender_with_blind_receiver():
-    # no POVM: the pair is never collapsed by the receiver in normal rounds
-    led = _play(singlet_mirror(), BobStrategy.random_guess(),
-                ProtocolParams(r=0.3, R=398.0), 5_000, seed=92)
-    assert led.wins + led.losses == led.rounds == 5_000
-
-
-def test_entangled_sender_rejects_transit_noise():
-    rng = random.Random(93)
-    params = ProtocolParams(r=0.1, R=398.0, noise_lambda=0.05)
-    with pytest.raises(ValueError):
-        run_round(singlet_mirror(), BobStrategy.honest_optimal(), params, rng)

@@ -35,7 +35,8 @@ from trinegamble.qubit import (
     trine_states,
     uniform_label,
 )
-from trinegamble.protocol import ProtocolParams, run_round
+from trinegamble.montecarlo import _NORMAL, _entangled_table, _round_rows, _table_branches
+from trinegamble.protocol import ProtocolParams
 from trinegamble.strategies import BobStrategy, EntangledAlice
 
 from conftest import four_sigma, random_basis, random_pair, random_pure
@@ -421,6 +422,15 @@ def test_partial_trace_yields_valid_density(psi):
 _CLAIM_OUTCOME = {(g, j): "ab"[j] for g in LABELS for j in (0, 1)}
 
 
+def _checking_outcomes(alice, n, seed):
+    """The sender's outcome j in n checking rounds played from her
+    compiled branch table, with the table."""
+    table = _entangled_table(alice, BobStrategy.random_guess(), ProtocolParams(r=0.5, R=398.0))
+    u = _round_rows(seed, 0, n)
+    u[:, 0] = 0.0  # every row a checking round
+    return (_table_branches(table, u) - _NORMAL) // 2 % 2, table
+
+
 def test_local_collapse_on_singlet_anticorrelates():
     psi = TwoQubitState.singlet()
     t = trine_states()
@@ -441,11 +451,11 @@ def test_local_collapse_on_product_state_is_inert():
     assert abs(branches[0][0] - 1.0) < 1e-12
     assert branches[0][1].fidelity(t["b"]) > 1.0 - 1e-12
     assert branches[1][1] is None  # unreachable branch carries no state
+    # the sender's outcome is always 0, and the check reads its collapsed state
     alice = EntangledAlice(psi, {g: basis for g in LABELS}, _CLAIM_OUTCOME)
-    r = random.Random(3)
-    for _ in range(5000):
-        verdict, bob = alice.adjudicate(alice.prepare(r), "a", psi, r)
-        assert verdict.claimed == "a" and bob == branches[0][1]
+    j, table = _checking_outcomes(alice, 5_000, 3)
+    assert not j.any()
+    assert table.p_fail[0] == check_fail_probability(branches[0][1], "a") == pytest.approx(0.75)
 
 
 def test_local_collapse_requires_orthonormal_basis():
@@ -455,21 +465,21 @@ def test_local_collapse_requires_orthonormal_basis():
 
 
 def test_local_collapse_sampling_matches_branch_weights():
-    # the sender draws her outcome on the pair from local_measure_branches
+    # the sender draws her outcome on the pair from local_measure_branches,
+    # and the check reads the collapsed state of the outcome drawn
     rng_np = np.random.default_rng(42)
     psi = random_pair(rng_np)
     basis = random_basis(rng_np)
     branches = local_measure_branches(psi, basis)
     alice = EntangledAlice(psi, {g: basis for g in LABELS}, _CLAIM_OUTCOME)
-    r = random.Random(1234)
     n = 50_000
-    hits = [0, 0]
-    for _ in range(n):
-        verdict, bob = alice.adjudicate(alice.prepare(r), "a", psi, r)
-        j = "ab".index(verdict.claimed)
-        assert bob.fidelity(branches[j][1]) > 1.0 - 1e-12
-        hits[j] += 1
-    assert abs(hits[0] / n - branches[0][0]) < four_sigma(branches[0][0], n)
+    j, table = _checking_outcomes(alice, n, 1234)
+    for g in range(3):
+        assert table.p0_local[g] == branches[0][0]
+        for k in (0, 1):
+            assert table.p_fail[2 * g + k] == check_fail_probability(branches[k][1], "ab"[k])
+    p0 = branches[0][0]
+    assert abs(np.mean(j == 0) - p0) < four_sigma(p0, n)
 
 
 def test_steering_average_recovers_reduced_state():
@@ -541,9 +551,10 @@ def test_remote_collapse_needs_rank_one_elements():
     povm = Povm((flat, flat, flat), ("a", "b", "c"), None)
     with pytest.raises(ValueError):
         remote_povm_branches(TwoQubitState.singlet(), povm)
+    alice = EntangledAlice(TwoQubitState.singlet(), {g: random_basis(np.random.default_rng(0))
+                                                     for g in LABELS}, _CLAIM_OUTCOME)
     with pytest.raises(ValueError):
-        run_round(_KeptStateSpy(TwoQubitState.singlet()), _FixedPovmBob(povm),
-                  ProtocolParams(r=0.0, R=398.0), random.Random(0))
+        _entangled_table(alice, _FixedPovmBob(povm), ProtocolParams(r=0.0, R=398.0))
 
 
 class _FixedPovmBob:
@@ -556,38 +567,22 @@ class _FixedPovmBob:
         return self.povm
 
 
-class _KeptStateSpy(EntangledAlice):
-    """An entangled sender that records the system she adjudicates on."""
-
-    def __init__(self, psi):
-        t = trine_states()
-        super().__init__(psi, {g: (t[g], t[g].orthogonal()) for g in LABELS},
-                         {(g, j): g for g in LABELS for j in (0, 1)})
-        object.__setattr__(self, "seen", [])
-
-    def adjudicate(self, prep, guess, alice_system, rng):
-        self.seen.append((guess, alice_system))
-        return super().adjudicate(prep, guess, alice_system, rng)
-
-
 def test_remote_collapse_sampling_matches_branch_weights():
     # a normal round draws the receiver's outcome from remote_povm_branches
-    # and hands the sender that branch's kept state
+    # and the sender's outcome on that branch's kept state
     rng_np = np.random.default_rng(11)
     psi = random_pair(rng_np)
     povm = optimal_povm()
     branches = remote_povm_branches(psi, povm)
-    alice = _KeptStateSpy(psi)
-    params = ProtocolParams(r=0.0, R=398.0)
-    bob = BobStrategy.honest_optimal()
-    r = random.Random(55)
+    t = trine_states()
+    basis = {g: (t[g], t[g].orthogonal()) for g in LABELS}
+    alice = EntangledAlice(psi, basis, _CLAIM_OUTCOME)
+    table = _entangled_table(alice, BobStrategy.honest_optimal(), ProtocolParams(r=0.0, R=398.0))
+    assert table.bounds == outcome_bounds([p for p, _ in branches])
+    for k, (label, (_, kept)) in enumerate(zip(povm.labels, branches)):
+        assert table.p0_normal[k] == basis[label][0].fidelity(kept)
     n = 60_000
-    hits = [0, 0, 0]
-    for _ in range(n):
-        run_round(alice, bob, params, r)
-        guess, kept = alice.seen.pop()
-        k = povm.labels.index(guess)
-        assert kept.fidelity(branches[k][1]) > 1.0 - 1e-12
-        hits[k] += 1
-    for k in range(3):
-        assert abs(hits[k] / n - branches[k][0]) < four_sigma(branches[k][0], n)
+    k = _table_branches(table, _round_rows(55, 0, n)) // 2
+    for i in range(3):
+        p = branches[i][0]
+        assert abs(np.mean(k == i) - p) < four_sigma(p, n)

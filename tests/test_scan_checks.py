@@ -21,6 +21,16 @@ def test_the_first_passes_of_entangled_scan_are_clean():
     assert "0 failed call(s) or check(s)" in proc.stderr
 
 
+
+def test_the_first_pass_of_noisy_monitored_transcript_is_clean():
+    # its checks read every transcript line back and recompute the counts,
+    # the mean and the round on which the monitor trips
+    proc = _scan("--workload", "noisy-monitored-transcript", "--seeds", "1", "--passes", "0:1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert "0 failed call(s) or check(s)" in proc.stderr
+
+
 FAKE_WORKLOADS = '''
 from typing import NamedTuple
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trinegamble.protocol import RoundKind, RoundResult
+from trinegamble.montecarlo import _entangled_table
+from trinegamble.protocol import ProtocolParams, RoundKind, RoundResult
 from trinegamble.qubit import (
     LABELS,
-    PureState,
     TwoQubitState,
     born_probabilities,
     local_measure_branches,
@@ -26,7 +26,6 @@ from trinegamble.strategies import (
     MeasuredGuess,
     MixtureCheat,
     StoredRandomGuess,
-    aligned_pair,
     greedy_claims,
     in_plane_state,
     parse_alice_spec,
@@ -62,7 +61,7 @@ def test_honest_preparation_is_uniform_and_truthful(rng):
     for _ in range(n):
         prep = alice.prepare(rng)
         assert prep.descriptor == f"trine:{prep.claim}"
-        assert prep.wire is TRINE[prep.claim] and prep.joint is None
+        assert prep.wire is TRINE[prep.claim]
         counts[prep.claim] += 1
     for lab in LABELS:
         assert abs(counts[lab] / n - 1 / 3) < four_sigma(1 / 3, n)
@@ -92,7 +91,7 @@ def test_fixed_cheat_descriptor_encodes_angle():
     cheat = FixedStateCheat.from_angle(1.0, "b")
     prep = cheat.prepare(random.Random(0))
     assert prep.descriptor == "fixed:claim=b,theta=1"
-    assert prep.claim == "b" and prep.joint is None
+    assert prep.claim == "b" and prep.wire is cheat.state
 
 
 def test_fixed_cheat_always_claims_its_label(rng):
@@ -186,30 +185,6 @@ def test_entangled_policy_validation():
         wrong = dict(good_claims)
         wrong[("a", 0)] = "z"
         EntangledAlice(psi, good_basis, wrong)
-
-
-def test_entangled_adjudicate_surrenders_collapsed_qubit(rng):
-    alice = singlet_mirror()
-    prep = alice.prepare(rng)
-    assert prep.wire is None and prep.joint is alice.psi and prep.claim is None
-    verdict, bob_state = alice.adjudicate(prep, "a", alice.psi, rng)
-    assert isinstance(bob_state, PureState)
-    assert verdict.claimed in LABELS
-
-
-def test_entangled_adjudicate_after_receiver_measured(rng):
-    alice = aligned_pair()
-    prep = alice.prepare(rng)
-    kept = TRINE["b"]  # conditional state of her qubit after his POVM
-    verdict, bob_state = alice.adjudicate(prep, "b", kept, rng)
-    assert bob_state is None
-    assert verdict.claimed in LABELS
-
-
-def test_entangled_adjudicate_requires_a_system(rng):
-    alice = singlet_mirror()
-    with pytest.raises(ValueError):
-        alice.adjudicate(alice.prepare(rng), "a", None, rng)
 
 
 def test_random_entangled_policies_are_valid_and_reproducible():
@@ -382,7 +357,9 @@ def test_any_sender_spec_parses_or_raises_value_error(spec):
         alice = parse_alice_spec(spec)
     except ValueError:
         return
-    assert hasattr(alice, "prepare") and hasattr(alice, "adjudicate")
+    # a separable sender plays round by round, an entangled one from her table
+    assert isinstance(alice, EntangledAlice) or (
+        hasattr(alice, "prepare") and hasattr(alice, "adjudicate"))
     if isinstance(alice, MixtureCheat):
         weights = [p for p, _, _ in alice.components]
         assert all(math.isfinite(p) and p >= 0.0 for p in weights)
@@ -411,12 +388,16 @@ def test_all_strategies_pickle():
         BobStrategy.random_guess(),
     ]
     rng = random.Random(9)
+    params = ProtocolParams(r=0.05, R=398.0)
     for obj in subjects:
         clone = pickle.loads(pickle.dumps(obj))
-        if hasattr(clone, "prepare"):
-            prep = clone.prepare(rng)
-            system = prep.joint if prep.joint is not None else None
-            verdict, _ = clone.adjudicate(prep, "a", system, rng)
+        if isinstance(clone, EntangledAlice):
+            # a worker compiles the same branch table
+            honest = BobStrategy.honest_optimal()
+            assert (_entangled_table(clone, honest, params).exact_rows
+                    == _entangled_table(obj, honest, params).exact_rows)
+        elif hasattr(clone, "prepare"):
+            verdict, _ = clone.adjudicate(clone.prepare(rng), "a", None, rng)
             assert verdict.claimed in LABELS
         else:
             assert clone.act(TRINE["a"], RoundKind.NORMAL, rng).guess in LABELS
