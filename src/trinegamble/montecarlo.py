@@ -10,23 +10,26 @@ at most os.cpu_count() processes: the worker count only changes float
 accumulation order in the reported means, and the process count nothing.
 
 Each block is played by one of two engines, chosen by the sender, and
-both draw every branch by the rule of one helper in qubit: outcome_bounds
-for the receiver's POVM outcome, local_measure_branches and
-remote_povm_branches for the pair, check_fail_probability for the check.
-A separable sender plays round by round through protocol.run_round. An
+both draw every branch by the rule of one helper in qubit:
+outcome_bounds for the receiver's POVM outcome, local_measure_branches
+and remote_povm_branches for the pair, check_fail_probability for the
+check. A separable sender plays round by round through
+protocol.run_round, until the benchmark's statistical check stops
+raising false alarms at the pass counts a table engine would reach. An
 entangled sender is compiled into her branch table: eighteen branches
 (normal round: receiver's outcome or blind guess x her outcome; checking
 round: guess x her outcome x pass or accuse), each with its transcript,
 and the thresholds each uniform is compared against. numpy plays a chunk
-of rows at once and adds the payoffs strictly left to right, so the totals
-are bit-identical to playing the rows one at a time
+of rows at once and adds the payoffs strictly left to right, so the
+totals are bit-identical to playing the rows one at a time
 (tests/entangled_reference.py). Each row does only the work of its own
-round kind: at r = 0.05 that took the benchmark's entangled-scan workload
-from 3.65M to 5.82M rounds/s (BENCH_8.json). With a transcript sink or
-the abort monitor, a chunk's checking rows go through abort_monitor in
-order, the chunk ends at the tripping row, and the sink gets each row's
-prebuilt transcript. Compiled against the honest receiver, the same table
-is the exact oracle's answer for entangled senders.
+round kind: at r = 0.05 that took the benchmark's entangled-scan
+workload from 3.65M to 5.82M rounds/s (BENCH_8.json). With a transcript
+sink or the abort monitor, a chunk's checking rows go through
+abort_monitor in order, the chunk ends at the tripping row, and the sink
+gets each row's prebuilt transcript. Compiled against the honest
+receiver, the same table is the exact oracle's answer for entangled
+senders.
 
 The scalar loop computes each per-branch value once per run: the channel's
 output for each prepared state (protocol.received_state) and the honest

@@ -10,6 +10,7 @@ transcript lines; trip the abort monitor on the same row; and fail where
 the other fails.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -102,8 +103,7 @@ def _play(play, alice, bob, params, seed, start, count):
 
 
 def _monitored(params, threshold, min_checks):
-    return ProtocolParams(r=params.r, R=params.R, p=params.p, lose_payout=params.lose_payout,
-                          abort_threshold=threshold, abort_min_checks=min_checks)
+    return dataclasses.replace(params, abort_threshold=threshold, abort_min_checks=min_checks)
 
 
 @pytest.mark.parametrize("r", sorted(PARAMS))
