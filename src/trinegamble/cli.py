@@ -10,7 +10,7 @@ verify       run the internal invariant checks and report pass/fail
 
 Exit codes: 0 success, 1 validation or usage error, 2 invariant failure
 (including a Monte Carlo run that contradicts an exact expectation with
-zero spread), 3 protocol abort (monitor trip or a mid-game rule fault).
+zero spread), 3 protocol abort (accusation monitor trip).
 
 The fully resolved configuration is echoed to stderr as a single
 ``# trinegamble <command> --key=value ...`` line so any run can be
@@ -39,7 +39,7 @@ from .montecarlo import (
     enumerate_exact,
     simulate,
 )
-from .protocol import ProtocolFault, ProtocolParams, transcript_line
+from .protocol import ProtocolParams, transcript_line
 from .qubit import (
     PureState,
     TwoQubitState,
@@ -571,9 +571,6 @@ def main(argv=None) -> int:
     except DeterministicDivergence as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 2
-    except ProtocolFault as exc:
-        print(f"protocol abort ({exc.party}): {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -11,17 +11,17 @@ accumulation order in the reported means, and the process count nothing.
 
 Each block is played by one of two engines, chosen by the sender, and
 both draw every branch by the rule of one helper in qubit:
-outcome_bounds for the receiver's POVM outcome, local_measure_branches
-and remote_povm_branches for the pair, check_fail_probability for the
-check. A separable sender plays round by round through
-protocol.run_round, until the benchmark's statistical check stops
-raising false alarms at the pass counts a table engine would reach. An
-entangled sender is compiled into her branch table: eighteen branches
-(normal round: receiver's outcome or blind guess x her outcome; checking
-round: guess x her outcome x pass or accuse), each with its transcript,
-and the thresholds each uniform is compared against. numpy plays a chunk
-of rows at once and adds the payoffs strictly left to right, so the
-totals are bit-identical to playing the rows one at a time
+outcome_bounds for the receiver's POVM outcome and a mixture's
+component, local_measure_branches and remote_povm_branches for the pair,
+check_fail_probability for the check. A separable sender plays round by
+round through protocol.run_round, until the benchmark's statistical
+check stops raising false alarms at the pass counts a table engine would
+reach. An entangled sender is compiled into her branch table: eighteen
+branches (normal round: receiver's outcome or blind guess x her outcome;
+checking round: guess x her outcome x pass or accuse), each with its
+transcript, and the thresholds each uniform is compared against. numpy
+plays a chunk of rows at once and adds the payoffs strictly left to
+right, so the totals are bit-identical to playing the rows one at a time
 (tests/entangled_reference.py). Each row does only the work of its own
 round kind: at r = 0.05 that took the benchmark's entangled-scan
 workload from 3.65M to 5.82M rounds/s (BENCH_8.json). With a transcript
@@ -33,9 +33,12 @@ senders.
 
 The scalar loop computes each per-branch value once per run: the channel's
 output for each prepared state (protocol.received_state) and the honest
-receiver's POVM probabilities (qubit.cached_born_probabilities) live on
-the immutable state objects, and the CLI renders each distinct transcript
-line once. It reads _SCALAR_CHUNK rows at a time, the table _CHUNK rows.
+receiver's outcome bounds (qubit.cached_outcome_bounds) live on the
+immutable state objects, a mixture's component bounds on the sender, and
+the CLI renders each distinct transcript line once. Each round is ruled
+from the claim the sender committed to (protocol._verdict_for), with no
+call back into her. It reads _SCALAR_CHUNK rows at a time, the table
+_CHUNK rows.
 
 Abort monitoring and transcript streaming are sequential (the monitor
 reads the running counts in round order), so those runs play in one
@@ -60,6 +63,7 @@ from .protocol import (
     RoundKind,
     RoundResult,
     RoundTranscript,
+    _verdict_for,
     abort_monitor,
     received_state,
     run_round,
@@ -81,7 +85,6 @@ from .strategies import (
     FixedStateCheat,
     HonestAlice,
     MixtureCheat,
-    _verdict_for,
 )
 
 DRAWS_PER_ROUND = 8

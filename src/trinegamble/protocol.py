@@ -4,35 +4,40 @@ One round: the sender prepares a qubit and ships it (optionally through a
 depolarizing channel). With probability 1 - r the receiver measures at
 once with his discrimination POVM and announces the outcome as his guess
 (normal round); with probability r he silently stores the qubit and
-announces a uniform random guess (checking round). The sender then rules
-the round won or lost for the receiver, naming the state she claims to
-have sent. A checking round ends with the receiver projecting the stored
-qubit onto {claimed state, complement}; the complement outcome is an
-accusation and transfers the penalty R instead of the round stake.
+announces a uniform random guess (checking round). The round is then won
+or lost for the receiver by the claim the sender committed to when she
+prepared the qubit: he wins iff his guess names it. A checking round ends
+with the receiver projecting the stored qubit onto {claimed state,
+complement}; the complement outcome is an accusation and transfers the
+penalty R instead of the round stake.
 
 The receiver never fabricates accusations here. Check outcomes come out of
 the projective test itself; a receiver lying about that outcome is outside
 the modeled threat set.
 
 run_round plays one round of a separable sender, who sends a definite
-qubit; each random choice is drawn from the helper the exact oracle reads
-(qubit.outcome_bounds through sample_outcome, and check_fail_probability).
-An entangled sender, who keeps half of a pair, is never played here: her
-rounds come from the branch table montecarlo compiles, which builds its
-transcripts with the same RoundTranscript, settle and abort_monitor.
+qubit; each random choice is drawn by the rule the exact oracle reads
+(qubit.outcome_bounds for the receiver's outcome, check_fail_probability
+for the check). An entangled sender, who keeps half of a pair, is never
+played here: her rounds come from the branch table montecarlo compiles,
+which builds its transcripts with the same RoundTranscript, _verdict_for,
+settle and abort_monitor.
 
-Strategies are duck-typed: the sender object provides prepare/adjudicate,
-the receiver object provides act and measurement_povm. The strategies
-module supplies the standard implementations.
+Strategies are duck-typed: the sender object provides prepare, which
+returns a strategies.Preparation (what she sends and what she claims);
+the receiver object provides act, which returns his guess, and
+measurement_povm. The protocol rules each round itself from the
+committed claim. The strategies module supplies the standard
+implementations.
 
 What the channel delivers for a prepared state is fixed for the run: it
 depends only on the state and the noise strength. received_state builds
 that depolarized density once per state object and keeps it on the state,
-and the honest receiver likewise keeps his POVM probabilities on the state
-he receives (qubit.cached_born_probabilities). Every round still draws its
-uniforms in the same order and compares them with the same numbers, which
-the same code computed once instead of once per round, so seeded output is
-bit-identical.
+and the honest receiver likewise keeps his POVM outcome bounds on the
+state he receives (qubit.cached_outcome_bounds). Every round still draws
+its uniforms in the same order and compares them with the same numbers,
+which the same code computed once instead of once per round, so seeded
+output is bit-identical.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .qubit import LABEL_INDEX, check_fail_probability, depolarize
+from .qubit import LABEL_INDEX, LABELS, check_fail_probability, depolarize
 
 
 class RoundKind(Enum):
@@ -66,20 +71,13 @@ class MonitorDecision(Enum):
     ABORT = "abort"
 
 
-class ProtocolFault(Exception):
-    """A party broke the protocol; the round aborts with the fault attributed."""
-
-    def __init__(self, party: str, message: str):
-        self.party = party
-        super().__init__(f"{party}: {message}")
-
-
 @dataclass(frozen=True)
 class Verdict:
-    """The sender's ruling for one round, with her claim made explicit.
+    """The ruling on one round and the claim it rests on.
 
-    The claim is announced once, at adjudication time, and the checking path
-    reuses it; there is no separate reveal step.
+    A separable sender commits to her claim when she prepares the qubit, an
+    entangled one names it after hearing the guess; the checking path reuses
+    it, and there is no separate reveal step.
     """
 
     result: RoundResult
@@ -88,6 +86,15 @@ class Verdict:
     def __post_init__(self):
         if self.claimed not in LABEL_INDEX:
             raise ValueError(f"claim outside the trine alphabet: {self.claimed!r}")
+
+
+_VERDICT_WON = {lab: Verdict(RoundResult.BOB_WON, lab) for lab in LABELS}
+_VERDICT_LOST = {lab: Verdict(RoundResult.BOB_LOST, lab) for lab in LABELS}
+
+
+def _verdict_for(guess: str, claim: str) -> Verdict:
+    """The ruling on a round: the receiver wins iff his guess is the claim."""
+    return _VERDICT_WON[claim] if guess == claim else _VERDICT_LOST[claim]
 
 
 @dataclass(frozen=True)
@@ -158,22 +165,6 @@ def settle(kind: RoundKind, verdict: Verdict, check: Optional[CheckResult],
     return (params.lose_payout, -params.lose_payout)
 
 
-def bob_check(stored, claimed: str, rng) -> CheckResult:
-    """Receiver-side verification: the projective test {|claimed><claimed|,
-    complement} on the stored qubit, whose complement outcome accuses."""
-    p_fail = check_fail_probability(stored, claimed)
-    return CheckResult.ACCUSE if rng.random() < p_fail else CheckResult.PASS
-
-
-def _validate_verdict(verdict, guess: str) -> None:
-    claimed = verdict.claimed
-    if claimed not in LABEL_INDEX:
-        raise ProtocolFault("alice", f"claim outside the trine alphabet: {claimed!r}")
-    expected = RoundResult.BOB_WON if guess == claimed else RoundResult.BOB_LOST
-    if verdict.result is not expected:
-        raise ProtocolFault("alice", "verdict inconsistent with the announced claim")
-
-
 def received_state(wire, noise_lambda: float):
     """What the receiver holds when the pure state wire is sent: wire itself
     on a clean channel, otherwise its density after the depolarizing channel
@@ -197,18 +188,19 @@ def run_round(alice, bob, params: ProtocolParams, rng) -> RoundTranscript:
     """Play one full round and return its transcript.
 
     The round kind is drawn here, Bernoulli(r), before the receiver touches
-    the qubit; the sender never learns it except through the payout.
+    the qubit; the sender never learns it except through the payout. The
+    verdict follows from the claim she committed to in prepare, and a
+    checking round tests that claim on the qubit the receiver stored.
     """
     prep = alice.prepare(rng)
     received = received_state(prep.wire, params.noise_lambda)
     kind = RoundKind.CHECKING if rng.random() < params.r else RoundKind.NORMAL
-    act = bob.act(received, kind, rng)
-    guess = act.guess
-    verdict, _ = alice.adjudicate(prep, guess, None, rng)
-    _validate_verdict(verdict, guess)
+    guess = bob.act(received, kind, rng)
+    verdict = _verdict_for(guess, prep.claim)
     check = None
     if kind is RoundKind.CHECKING:
-        check = bob_check(act.stored, verdict.claimed, rng)
+        p_fail = check_fail_probability(received, prep.claim)
+        check = CheckResult.ACCUSE if rng.random() < p_fail else CheckResult.PASS
     alice_delta, bob_delta = settle(kind, verdict, check, params)
     return RoundTranscript(kind, prep.descriptor, guess, verdict, check,
                            alice_delta, bob_delta)

@@ -9,10 +9,10 @@ Every random choice of a round is described once, as a branch table that
 the sampler and the exact oracle both read: outcome_bounds for a POVM's
 outcomes, local_measure_branches and remote_povm_branches for either
 party's measurement of a pair, and check_fail_probability for the claim
-check. sample_outcome is the one draw over such a table; it goes through
-the single method ``rng.random()``, so that any object exposing it
-(stdlib ``random.Random``, a numpy ``Generator``, or a deterministic stub)
-can drive it.
+check. A draw over such a table is one uniform bisected into its bounds
+(sample_outcome); it goes through the single method ``rng.random()``, so
+that any object exposing it (stdlib ``random.Random``, a numpy
+``Generator``, or a deterministic stub) can drive it.
 """
 
 from __future__ import annotations
@@ -357,6 +357,16 @@ def cached_born_probabilities(state, povm: Povm) -> tuple:
     if memo is None or memo[0] is not povm:
         memo = (povm, born_probabilities(state, povm))
         object.__setattr__(state, "_born", memo)
+    return memo[1]
+
+
+def cached_outcome_bounds(state, povm: Povm) -> tuple:
+    """outcome_bounds(cached_born_probabilities(state, povm)), kept on the
+    state in a slot of its own like the probabilities beside it."""
+    memo = getattr(state, "_bounds", None)
+    if memo is None or memo[0] is not povm:
+        memo = (povm, outcome_bounds(cached_born_probabilities(state, povm)))
+        object.__setattr__(state, "_bounds", memo)
     return memo[1]
 
 

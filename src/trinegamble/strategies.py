@@ -8,21 +8,23 @@ discriminator and a blind receiver who guesses uniformly.
 
 Strategies are stateless, so one instance can serve any number of rounds
 and pickles cleanly across worker processes. A separable sender's
-prepare() returns everything her later adjudicate() needs, and
-protocol.run_round plays her round by round. An entangled sender is data
-only: montecarlo compiles her policies into a branch table and plays and
+prepare() returns the qubit she sends and the claim she commits to, and
+protocol.run_round plays her round by round and rules it from that claim.
+A receiver's act() returns his guess. An entangled sender is data only:
+montecarlo compiles her policies into a branch table and plays and
 enumerates her from it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from .protocol import RoundKind, RoundResult, Verdict
+from .protocol import RoundKind
 from .qubit import (
     LABEL_INDEX,
     LABELS,
@@ -30,10 +32,10 @@ from .qubit import (
     Povm,
     PureState,
     TwoQubitState,
-    cached_born_probabilities,
+    cached_outcome_bounds,
     local_measure_branches,
     optimal_povm,
-    sample_outcome,
+    outcome_bounds,
     state_from_bloch,
     trine_states,
     uniform_label,
@@ -41,15 +43,8 @@ from .qubit import (
 
 TRINE = trine_states()
 
-_VERDICT_WON = {lab: Verdict(RoundResult.BOB_WON, lab) for lab in LABELS}
-_VERDICT_LOST = {lab: Verdict(RoundResult.BOB_LOST, lab) for lab in LABELS}
-
 # polar angle of each trine state in the x-z Bloch plane
 _PLANE_ANGLE = {"a": 0.0, "b": 2.0 * math.pi / 3.0, "c": -2.0 * math.pi / 3.0}
-
-
-def _verdict_for(guess: str, claim: str) -> Verdict:
-    return _VERDICT_WON[claim] if guess == claim else _VERDICT_LOST[claim]
 
 
 def in_plane_state(angle: float) -> PureState:
@@ -60,13 +55,18 @@ def in_plane_state(angle: float) -> PureState:
 @dataclass(frozen=True)
 class Preparation:
     """What a separable sender fixed before transmission: the qubit she
-    sends and the claim she committed to. An entangled sender prepares no
-    single qubit; she plays from her branch table instead.
+    sends and the claim she committed to, which rules the round. An
+    entangled sender prepares no single qubit; she plays from her branch
+    table instead.
     """
 
     descriptor: str
     wire: PureState
     claim: str
+
+    def __post_init__(self):
+        if self.claim not in LABEL_INDEX:
+            raise ValueError(f"claim outside the trine alphabet: {self.claim!r}")
 
 
 _HONEST_PREPS = tuple(
@@ -82,9 +82,6 @@ class HonestAlice:
 
     def prepare(self, rng) -> Preparation:
         return _HONEST_PREPS[int(rng.random() * 3.0)]
-
-    def adjudicate(self, prep: Preparation, guess: str, alice_system, rng):
-        return _verdict_for(guess, prep.claim), None
 
 
 @dataclass(frozen=True)
@@ -120,9 +117,6 @@ class FixedStateCheat:
     def prepare(self, rng) -> Preparation:
         return self._prep
 
-    def adjudicate(self, prep: Preparation, guess: str, alice_system, rng):
-        return _verdict_for(guess, self.claim), None
-
 
 @dataclass(frozen=True)
 class MixtureCheat:
@@ -142,8 +136,6 @@ class MixtureCheat:
             if not 0.0 <= p < math.inf:
                 raise ValueError(
                     f"component probability must be finite and nonnegative, got {p!r}")
-            if c not in LABEL_INDEX:
-                raise ValueError(f"unknown trine label {c!r}")
             if not isinstance(s, PureState):
                 raise ValueError("mixture components must carry PureState entries")
             total += p
@@ -151,14 +143,11 @@ class MixtureCheat:
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"component probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_weights", tuple(p for p, _, _ in comps))
+        object.__setattr__(self, "_bounds", outcome_bounds([p for p, _, _ in comps]))
         object.__setattr__(self, "_preps", tuple(preps))
 
     def prepare(self, rng) -> Preparation:
-        return self._preps[sample_outcome(self._weights, rng)]
-
-    def adjudicate(self, prep: Preparation, guess: str, alice_system, rng):
-        return _verdict_for(guess, prep.claim), None
+        return self._preps[bisect_right(self._bounds, rng.random())]
 
 
 def _nearest_trine(state: PureState) -> str:
@@ -189,7 +178,7 @@ class EntangledAlice:
     policies are finite lookup tables fixed before the game starts, so the
     whole game she plays is a finite branch tree: montecarlo's
     _entangled_table compiles it, and simulate and enumerate_exact play and
-    sum it. She has no prepare or adjudicate of her own.
+    sum it. She has no prepare of her own.
     """
 
     psi: TwoQubitState
@@ -253,15 +242,6 @@ def random_entangled_policy(rng: np.random.Generator) -> EntangledAlice:
     return EntangledAlice(psi, basis_policy, claim_policy)
 
 
-class MeasuredGuess(NamedTuple):
-    guess: str
-
-
-class StoredRandomGuess(NamedTuple):
-    guess: str
-    stored: object
-
-
 _BOB_KINDS = ("honest_optimal", "random_guess")
 
 
@@ -289,17 +269,18 @@ class BobStrategy:
     def measurement_povm(self) -> Optional[Povm]:
         return self._povm
 
-    def blind_guess(self, rng) -> str:
-        return uniform_label(rng)
+    def act(self, received, kind: RoundKind, rng) -> str:
+        """The guess he announces for the received qubit.
 
-    def act(self, received, kind: RoundKind, rng):
-        if kind is RoundKind.CHECKING:
-            return StoredRandomGuess(uniform_label(rng), received)
+        In a checking round he stores the qubit unmeasured, for the
+        protocol's check, and guesses uniformly, as a blind receiver always
+        does. Otherwise he measures: one uniform bisected into his POVM's
+        outcome bounds, computed once per received state.
+        """
         povm = self._povm
-        if povm is None:
-            return MeasuredGuess(self.blind_guess(rng))
-        probs = cached_born_probabilities(received, povm)
-        return MeasuredGuess(povm.labels[sample_outcome(probs, rng)])
+        if povm is None or kind is RoundKind.CHECKING:
+            return uniform_label(rng)
+        return povm.labels[bisect_right(cached_outcome_bounds(received, povm), rng.random())]
 
 
 def posterior_unmeasured(r: float, guess_matches_claim: bool) -> float:
@@ -395,4 +376,7 @@ def _parse_float(text: str, what: str) -> float:
 def _parse_state(text: str) -> PureState:
     if text in TRINE:
         return TRINE[text]
-    return in_plane_state(_parse_float(text, "state angle"))
+    angle = _parse_float(text, "state angle")
+    if not math.isfinite(angle):
+        raise ValueError(f"state angle must be finite, got {text!r}")
+    return in_plane_state(angle)

@@ -14,14 +14,15 @@ compared row for row.
 """
 
 from trinegamble.protocol import (
+    CheckResult,
     RoundKind,
     RoundResult,
     RoundTranscript,
     Verdict,
-    bob_check,
     settle,
 )
 from trinegamble.qubit import (
+    check_fail_probability,
     local_measure_branches,
     remote_povm_branches,
     sample_outcome,
@@ -55,7 +56,7 @@ def run_round(alice, bob, params, rng) -> RoundTranscript:
     else:
         povm = bob.measurement_povm()
         if povm is None:
-            guess = bob.blind_guess(rng)
+            guess = uniform_label(rng)
             j, _ = _collapse(alice, guess, rng)
         else:
             branches = remote_povm_branches(alice.psi, povm)
@@ -68,6 +69,7 @@ def run_round(alice, bob, params, rng) -> RoundTranscript:
     claim = alice.claim_policy[(guess, j)]
     verdict = Verdict(RoundResult.BOB_WON if guess == claim else RoundResult.BOB_LOST, claim)
     if kind is RoundKind.CHECKING:
-        check = bob_check(sent, claim, rng)
+        p_fail = check_fail_probability(sent, claim)
+        check = CheckResult.ACCUSE if rng.random() < p_fail else CheckResult.PASS
     return RoundTranscript(kind, "entangled", guess, verdict, check,
                            *settle(kind, verdict, check, params))

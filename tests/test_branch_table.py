@@ -29,7 +29,7 @@ from trinegamble.montecarlo import (
     simulate,
 )
 from trinegamble.protocol import CheckResult, ProtocolParams, RoundKind, transcript_line
-from trinegamble.qubit import LABELS, Povm, PureState, TwoQubitState, trine_states, uniform_label
+from trinegamble.qubit import LABELS, Povm, PureState, TwoQubitState, trine_states
 from trinegamble.strategies import (
     BobStrategy,
     EntangledAlice,
@@ -372,9 +372,6 @@ class _SlackBob:
 
     def measurement_povm(self):
         return self.povm
-
-    def blind_guess(self, rng):
-        return uniform_label(rng)
 
 
 def test_povm_probabilities_off_their_sum_raise_in_normal_rounds(monkeypatch, reference):

@@ -22,7 +22,6 @@ from trinegamble.cli import (
     main,
 )
 from trinegamble.montecarlo import SimResult
-from trinegamble.protocol import ProtocolFault
 
 
 def _run(capsys, argv):
@@ -186,11 +185,16 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     ["verify", "--trials", "-3"],
     ["verify", "--trials", "0"],
     ["verify", "--grid-points", "1"],
+    ["simulate", "--alice", "mixture:1:inf:a", "--rounds", "10"],
+    ["simulate", "--alice", "mixture:1:-inf:a", "--rounds", "10"],
 ])
 def test_usage_and_validation_errors(capsys, argv):
     code, _, err = _run(capsys, argv)
     assert code == 1
     assert "error:" in err.lower()
+    if "mixture:1:inf:a" in argv or "mixture:1:-inf:a" in argv:
+        # names the field and the value, not just "math domain error"
+        assert "state angle must be finite" in err and "inf'" in err
 
 
 @pytest.mark.parametrize("flag", ["--transcript", "--output"])
@@ -393,16 +397,6 @@ def test_zero_spread_runs_are_not_divergences(capsys, argv):
     assert code == 0, err
     _, rows = _parse_csv(out)
     assert all(math.isfinite(float(row[-1])) for row in rows)
-
-
-def test_protocol_fault_exits_three(monkeypatch, capsys):
-    def fake_simulate(config, transcript_sink=None):
-        raise ProtocolFault("alice", "claim outside the trine alphabet: 'z'")
-
-    monkeypatch.setattr("trinegamble.cli.simulate", fake_simulate)
-    code, _, err = _run(capsys, ["simulate", "--rounds", "10", "--seed", "1"])
-    assert code == 3
-    assert "protocol abort (alice)" in err
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,11 @@ import pytest
 from trinegamble.protocol import (
     CheckResult,
     MonitorDecision,
-    ProtocolFault,
     ProtocolParams,
     RoundKind,
     RoundResult,
     Verdict,
     abort_monitor,
-    bob_check,
     run_round,
     settle,
     transcript_line,
@@ -42,18 +40,28 @@ PARAMS = ProtocolParams(r=0.1, R=398.0)
 # the claim check
 
 
+def _checks(state, claim, rng, n):
+    """The check results of n checking rounds of a sender who always sends
+    state and claims claim."""
+    alice, bob = FixedStateCheat(state, claim), BobStrategy.honest_optimal()
+    params = ProtocolParams(r=0.999999, R=398.0)
+    rounds = (run_round(alice, bob, params, rng) for _ in range(n))
+    return [t.check for t in rounds if t.kind is RoundKind.CHECKING]
+
+
 def test_bob_check_eigenstate_never_accuses():
     t = trine_states()
     r = random.Random(77)
-    assert all(bob_check(t["a"], "a", r) is CheckResult.PASS for _ in range(10_000))
-    assert all(bob_check(t["c"], "c", r) is CheckResult.PASS for _ in range(10_000))
+    assert set(_checks(t["a"], "a", r, 10_000)) == {CheckResult.PASS}
+    assert set(_checks(t["c"], "c", r, 10_000)) == {CheckResult.PASS}
 
 
 def test_bob_check_cross_trine_accuses_three_quarters():
     t = trine_states()
     r = random.Random(88)
-    n = 100_000
-    accusations = sum(bob_check(t["b"], "a", r) is CheckResult.ACCUSE for _ in range(n))
+    checks = _checks(t["b"], "a", r, 100_000)
+    n = len(checks)
+    accusations = checks.count(CheckResult.ACCUSE)
     assert abs(accusations / n - 0.75) < four_sigma(0.75, n)
 
 
@@ -62,8 +70,9 @@ def test_bob_check_rate_at_arbitrary_angle():
     s = state_from_bloch(BlochVector(math.sin(theta), 0.0, math.cos(theta)))
     want = 1.0 - math.cos(theta / 2.0) ** 2
     r = random.Random(99)
-    n = 100_000
-    accusations = sum(bob_check(s, "a", r) is CheckResult.ACCUSE for _ in range(n))
+    checks = _checks(s, "a", r, 100_000)
+    n = len(checks)
+    accusations = checks.count(CheckResult.ACCUSE)
     assert abs(accusations / n - want) < four_sigma(want, n)
 
 
@@ -252,21 +261,9 @@ def test_transcript_shape_and_export():
 
 
 # ---------------------------------------------------------------------------
-# misbehaving senders trip faults
+# a sender commits to a claim in the trine alphabet
 
 
-class _LyingAlice:
-    """Claims the guessed label but rules the round lost anyway."""
-
-    def prepare(self, rng):
-        return Preparation("lie", trine_states()["a"], "a")
-
-    def adjudicate(self, prep, guess, alice_system, rng):
-        return Verdict(RoundResult.BOB_LOST, guess), None
-
-
-def test_inconsistent_verdict_is_a_sender_fault():
-    rng = random.Random(81)
-    with pytest.raises(ProtocolFault) as ei:
-        run_round(_LyingAlice(), BobStrategy.honest_optimal(), PARAMS, rng)
-    assert ei.value.party == "alice"
+def test_a_claim_outside_the_alphabet_is_rejected_at_preparation():
+    with pytest.raises(ValueError, match="claim outside the trine alphabet: 'z'"):
+        Preparation("lie", trine_states()["a"], "z")

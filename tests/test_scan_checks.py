@@ -21,6 +21,14 @@ def test_the_first_passes_of_entangled_scan_are_clean():
     assert "0 failed call(s) or check(s)" in proc.stderr
 
 
+def test_the_first_pass_of_separable_sweep_is_clean():
+    # its checks recompute each sweep row's z from mc_stderr and hold the
+    # mixture runs against the reference's exact gain
+    proc = _scan("--workload", "separable-sweep", "--seeds", "1", "--passes", "0:1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert "0 failed call(s) or check(s)" in proc.stderr
+
 
 def test_the_first_pass_of_noisy_monitored_transcript_is_clean():
     # its checks read every transcript line back and recompute the counts,

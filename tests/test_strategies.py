@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trinegamble.montecarlo import _entangled_table
-from trinegamble.protocol import ProtocolParams, RoundKind, RoundResult
+from trinegamble.protocol import ProtocolParams, RoundKind, RoundResult, received_state, run_round
 from trinegamble.qubit import (
     LABELS,
     TwoQubitState,
@@ -23,9 +23,7 @@ from trinegamble.strategies import (
     EntangledAlice,
     FixedStateCheat,
     HonestAlice,
-    MeasuredGuess,
     MixtureCheat,
-    StoredRandomGuess,
     greedy_claims,
     in_plane_state,
     parse_alice_spec,
@@ -68,14 +66,15 @@ def test_honest_preparation_is_uniform_and_truthful(rng):
 
 
 def test_honest_adjudication_is_truthful(rng):
-    alice = HonestAlice()
-    prep = alice.prepare(rng)
-    verdict, handed = alice.adjudicate(prep, prep.claim, None, rng)
-    assert verdict.result is RoundResult.BOB_WON and verdict.claimed == prep.claim
-    assert handed is None
-    wrong = next(lab for lab in LABELS if lab != prep.claim)
-    verdict, _ = alice.adjudicate(prep, wrong, None, rng)
-    assert verdict.result is RoundResult.BOB_LOST and verdict.claimed == prep.claim
+    # each round is ruled by the claim she committed to: the label she sent
+    params = ProtocolParams(r=0.5, R=398.0)
+    results = set()
+    for _ in range(300):
+        t = run_round(HonestAlice(), BobStrategy.honest_optimal(), params, rng)
+        assert t.sent_descriptor == f"trine:{t.verdict.claimed}"
+        assert (t.verdict.result is RoundResult.BOB_WON) == (t.guess == t.verdict.claimed)
+        results.add(t.verdict.result)
+    assert results == set(RoundResult)
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +95,14 @@ def test_fixed_cheat_descriptor_encodes_angle():
 
 def test_fixed_cheat_always_claims_its_label(rng):
     cheat = FixedStateCheat(TRINE["b"], claim="a")
-    prep = cheat.prepare(rng)
-    for guess in LABELS:
-        verdict, _ = cheat.adjudicate(prep, guess, None, rng)
-        assert verdict.claimed == "a"
-        assert (verdict.result is RoundResult.BOB_WON) == (guess == "a")
+    params = ProtocolParams(r=0.5, R=398.0)
+    guesses = set()
+    for _ in range(300):
+        t = run_round(cheat, BobStrategy.random_guess(), params, rng)
+        assert t.verdict.claimed == "a"
+        assert (t.verdict.result is RoundResult.BOB_WON) == (t.guess == "a")
+        guesses.add(t.guess)
+    assert guesses == set(LABELS)
 
 
 def test_fixed_cheat_validation():
@@ -208,22 +210,35 @@ def test_honest_receiver_measures_with_the_discriminator(rng):
     bob = BobStrategy.honest_optimal()
     assert bob.measurement_povm() is optimal_povm()
     n = 30_000
-    hits = sum(bob.act(TRINE["a"], RoundKind.NORMAL, rng).guess == "a" for _ in range(n))
+    hits = sum(bob.act(TRINE["a"], RoundKind.NORMAL, rng) == "a" for _ in range(n))
     assert abs(hits / n - 2.0 / 3.0) < four_sigma(2.0 / 3.0, n)
 
 
-def test_receiver_checking_round_stores_the_exact_object(rng):
+def test_receiver_checking_round_stores_the_exact_object(monkeypatch, rng):
+    # the receiver leaves the stored qubit unmeasured, and the check reads
+    # the very object the channel delivered
     bob = BobStrategy.honest_optimal()
-    act = bob.act(TRINE["c"], RoundKind.CHECKING, rng)
-    assert isinstance(act, StoredRandomGuess)
-    assert act.stored is TRINE["c"]
-    assert act.guess in LABELS
+    assert bob.act(object(), RoundKind.CHECKING, rng) in LABELS
+    checked = []
+
+    def recording(state, claimed):
+        checked.append(state)
+        return 0.0
+
+    monkeypatch.setattr("trinegamble.protocol.check_fail_probability", recording)
+    for noise in (0.0, 0.1):
+        params = ProtocolParams(r=0.9, R=398.0, noise_lambda=noise)
+        cheat = FixedStateCheat(TRINE["c"], claim="a")
+        for _ in range(20):
+            run_round(cheat, bob, params, rng)
+        assert checked and all(state is received_state(TRINE["c"], noise) for state in checked)
+        checked.clear()
 
 
 def test_checking_round_guess_is_uniform_for_every_kind(rng):
     n = 30_000
     for bob in (BobStrategy.honest_optimal(), BobStrategy.random_guess()):
-        hits = sum(bob.act(TRINE["a"], RoundKind.CHECKING, rng).guess == "b"
+        hits = sum(bob.act(TRINE["a"], RoundKind.CHECKING, rng) == "b"
                    for _ in range(n))
         assert abs(hits / n - 1 / 3) < four_sigma(1 / 3, n)
 
@@ -231,10 +246,8 @@ def test_checking_round_guess_is_uniform_for_every_kind(rng):
 def test_blind_receivers(rng):
     blind = BobStrategy.random_guess()
     assert blind.measurement_povm() is None
-    act = blind.act(TRINE["a"], RoundKind.NORMAL, rng)
-    assert isinstance(act, MeasuredGuess)
-    assert act.guess in LABELS
-    assert blind.blind_guess(rng) in LABELS
+    # a blind guess never looks at the qubit
+    assert blind.act(object(), RoundKind.NORMAL, rng) in LABELS
 
 
 def test_receiver_validation():
@@ -317,6 +330,10 @@ def test_parse_mixture_errors():
                 "mixture:nan:a:a", "mixture:nan:a:a;1:b:b", "mixture:inf:a:a"):
         with pytest.raises(ValueError):
             parse_alice_spec(bad)
+    # a component angle that is not finite is named, with its value
+    for angle in ("inf", "-inf", "nan"):
+        with pytest.raises(ValueError, match=f"state angle must be finite, got '{angle}'"):
+            parse_alice_spec(f"mixture:1:{angle}:a")
 
 
 def test_parse_entangled():
@@ -358,8 +375,7 @@ def test_any_sender_spec_parses_or_raises_value_error(spec):
     except ValueError:
         return
     # a separable sender plays round by round, an entangled one from her table
-    assert isinstance(alice, EntangledAlice) or (
-        hasattr(alice, "prepare") and hasattr(alice, "adjudicate"))
+    assert isinstance(alice, EntangledAlice) or hasattr(alice, "prepare")
     if isinstance(alice, MixtureCheat):
         weights = [p for p, _, _ in alice.components]
         assert all(math.isfinite(p) and p >= 0.0 for p in weights)
@@ -397,7 +413,8 @@ def test_all_strategies_pickle():
             assert (_entangled_table(clone, honest, params).exact_rows
                     == _entangled_table(obj, honest, params).exact_rows)
         elif hasattr(clone, "prepare"):
-            verdict, _ = clone.adjudicate(clone.prepare(rng), "a", None, rng)
-            assert verdict.claimed in LABELS
+            # a worker plays the same rounds
+            t = run_round(clone, BobStrategy.honest_optimal(), params, random.Random(9))
+            assert t == run_round(obj, BobStrategy.honest_optimal(), params, random.Random(9))
         else:
-            assert clone.act(TRINE["a"], RoundKind.NORMAL, rng).guess in LABELS
+            assert clone.act(TRINE["a"], RoundKind.NORMAL, rng) in LABELS
