@@ -330,14 +330,16 @@ def cmd_simulate(args) -> int:
     with _output_stream(args.output) as stream:
         if args.transcript:
             with open(args.transcript, "w", encoding="utf-8") as sink_file:
-                # a run's rounds take few distinct transcripts: render each line once
+                # both engines hand out one prebuilt transcript object per
+                # leaf: render each object's line once, keyed on its id (the
+                # entry holds the object, so the id cannot be reused)
                 lines = {}
 
                 def sink(t):
-                    line = lines.get(t)
-                    if line is None:
-                        line = lines[t] = transcript_line(t) + "\n"
-                    sink_file.write(line)
+                    entry = lines.get(id(t))
+                    if entry is None:
+                        entry = lines[id(t)] = (t, transcript_line(t) + "\n")
+                    sink_file.write(entry[1])
 
                 result = simulate(config, transcript_sink=sink)
         else:

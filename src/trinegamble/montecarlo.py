@@ -31,14 +31,18 @@ gets each row's prebuilt transcript. Compiled against the honest
 receiver, the same table is the exact oracle's answer for entangled
 senders.
 
-The scalar loop computes each per-branch value once per run: the channel's
-output for each prepared state (protocol.received_state) and the honest
-receiver's outcome bounds (qubit.cached_outcome_bounds) live on the
-immutable state objects, a mixture's component bounds on the sender, and
-the CLI renders each distinct transcript line once. Each round is ruled
-from the claim the sender committed to (protocol._verdict_for), with no
-call back into her. It reads _SCALAR_CHUNK rows at a time, the table
-_CHUNK rows.
+The scalar loop computes each per-branch value once per run. Each
+preparation carries its leaves for the run (protocol.separable_leaves):
+what the channel delivers, the check's failure probability and the nine
+transcripts a round can end in, ruled from the claim the sender
+committed to, with no call back into her. The honest receiver's outcome
+bounds (qubit.cached_outcome_bounds) live on the received state and a
+mixture's component bounds on the sender. Both engines hand out one
+prebuilt transcript object per leaf or branch (the table builds its
+transcripts with the same protocol.leaf_transcript), so the CLI renders
+each object's line once. enumerate_exact reads a separable sender's
+payoffs from the same leaves. The scalar loop reads _SCALAR_CHUNK rows at
+a time, the table _CHUNK rows.
 
 Abort monitoring and transcript streaming are sequential (the monitor
 reads the running counts in round order), so those runs play in one
@@ -62,12 +66,11 @@ from .protocol import (
     ProtocolParams,
     RoundKind,
     RoundResult,
-    RoundTranscript,
-    _verdict_for,
     abort_monitor,
+    leaf_transcript,
     received_state,
     run_round,
-    settle,
+    separable_leaves,
 )
 from .qubit import (
     LABELS,
@@ -77,9 +80,9 @@ from .qubit import (
     optimal_povm,
     outcome_bounds,
     remote_povm_branches,
-    trine_states,
 )
 from .strategies import (
+    _HONEST_PREPS,
     BobStrategy,
     EntangledAlice,
     FixedStateCheat,
@@ -259,9 +262,7 @@ def _entangled_table(alice, bob, params) -> _BranchTable:
     exact_rows, transcripts, faults = [], [], []
 
     def branch(kind, name, prob, guess, claim, check, fault):
-        verdict = _verdict_for(guess, claim)
-        t = RoundTranscript(kind, "entangled", guess, verdict, check,
-                            *settle(kind, verdict, check, params))
+        t = leaf_transcript(kind, "entangled", guess, claim, check, params)
         exact_rows.append((f"entangled|{name}", prob, t.alice_delta))
         transcripts.append(t)
         faults.append(fault)
@@ -490,7 +491,8 @@ def enumerate_exact(alice, params: ProtocolParams) -> ExactExpectation:
     """Expected sender gain against the honest receiver, exactly.
 
     Walks the full discrete outcome tree. A separable sender's rows are
-    mixture component x round kind x guess x check outcome. An entangled
+    mixture component x round kind x guess x check outcome, each paying
+    what its leaf's transcript pays (protocol.separable_leaves). An entangled
     sender's rows are her branch table, the one the simulation plays:
     ``entangled|normal|guess=g|j=..`` for the receiver's outcome g and her
     outcome j, and ``entangled|checking|guess=g|j=..|pass`` or ``|accuse``.
@@ -498,37 +500,34 @@ def enumerate_exact(alice, params: ProtocolParams) -> ExactExpectation:
     if isinstance(alice, EntangledAlice):
         table = _entangled_table(alice, BobStrategy.honest_optimal(), params)
         return _expectation(table.exact_rows)
-    trine = trine_states()
     if isinstance(alice, HonestAlice):
-        comps = [(1.0 / 3.0, trine[lab], lab, f"trine:{lab}") for lab in LABELS]
+        comps = [(1.0 / 3.0, prep, prep.descriptor) for prep in _HONEST_PREPS]
     elif isinstance(alice, FixedStateCheat):
-        comps = [(1.0, alice.state, alice.claim, f"fixed:claim={alice.claim}")]
+        comps = [(1.0, alice._prep, f"fixed:claim={alice.claim}")]
     elif isinstance(alice, MixtureCheat):
-        comps = [(p, s, c, f"mix:{i}:claim={c}")
-                 for i, (p, s, c) in enumerate(alice.components)]
+        comps = [(p, prep, prep.descriptor)
+                 for (p, _, _), prep in zip(alice.components, alice._preps)]
     else:
         raise ValueError(f"exact enumeration does not support {type(alice).__name__}")
 
     povm = optimal_povm()
-    lam = params.noise_lambda
     r = params.r
-    win = params.win_payout
-    lose = params.lose_payout
     rows = []
-    for pc, state, claim, desc in comps:
-        eff = received_state(state, lam)
-        probs = born_probabilities(eff, povm)
+    for pc, prep, desc in comps:
+        leaves = separable_leaves(prep, params)
+        probs = born_probabilities(leaves.received, povm)
         w_normal = pc * (1.0 - r)
         for k, lab in enumerate(povm.labels):
-            payoff = -win if lab == claim else lose
-            rows.append((f"{desc}|normal|guess={lab}", w_normal * probs[k], payoff))
-        q_fail = check_fail_probability(eff, claim)
+            rows.append((f"{desc}|normal|guess={lab}", w_normal * probs[k],
+                         leaves.normal[lab].alice_delta))
+        q_fail = leaves.p_fail
         q_pass = 1.0 - q_fail
         w_check = pc * r / 3.0
         for lab in LABELS:
-            payoff = -win if lab == claim else lose
-            rows.append((f"{desc}|checking|guess={lab}|pass", w_check * q_pass, payoff))
-            rows.append((f"{desc}|checking|guess={lab}|accuse", w_check * q_fail, -params.R))
+            rows.append((f"{desc}|checking|guess={lab}|pass", w_check * q_pass,
+                         leaves.passed[lab].alice_delta))
+            rows.append((f"{desc}|checking|guess={lab}|accuse", w_check * q_fail,
+                         leaves.accused[lab].alice_delta))
     return _expectation(rows)
 
 

@@ -20,8 +20,8 @@ qubit; each random choice is drawn by the rule the exact oracle reads
 (qubit.outcome_bounds for the receiver's outcome, check_fail_probability
 for the check). An entangled sender, who keeps half of a pair, is never
 played here: her rounds come from the branch table montecarlo compiles,
-which builds its transcripts with the same RoundTranscript, _verdict_for,
-settle and abort_monitor.
+which builds its transcripts with the same leaf_transcript and runs the
+same abort_monitor.
 
 Strategies are duck-typed: the sender object provides prepare, which
 returns a strategies.Preparation (what she sends and what she claims);
@@ -30,14 +30,19 @@ measurement_povm. The protocol rules each round itself from the
 committed claim. The strategies module supplies the standard
 implementations.
 
-What the channel delivers for a prepared state is fixed for the run: it
-depends only on the state and the noise strength. received_state builds
-that depolarized density once per state object and keeps it on the state,
-and the honest receiver likewise keeps his POVM outcome bounds on the
-state he receives (qubit.cached_outcome_bounds). Every round still draws
-its uniforms in the same order and compares them with the same numbers,
+A separable round can end in only nine ways once its preparation is
+drawn: a normal round on each of three guesses, or a checking round on
+each guess that passes or accuses. separable_leaves builds those nine
+transcripts once per preparation and run (with leaf_transcript, which
+rules the round and settles it), together with what the channel delivers
+(received_state, built once per state object and noise strength) and the
+check's failure probability, and run_round hands out one of them. The
+honest receiver likewise keeps his POVM outcome bounds on the state he
+receives (qubit.cached_outcome_bounds). Every round still draws its
+uniforms in the same order and compares them with the same numbers,
 which the same code computed once instead of once per round, so seeded
-output is bit-identical.
+output is bit-identical, and each round of a run that ends the same way
+returns the same transcript object.
 """
 
 from __future__ import annotations
@@ -90,11 +95,6 @@ class Verdict:
 
 _VERDICT_WON = {lab: Verdict(RoundResult.BOB_WON, lab) for lab in LABELS}
 _VERDICT_LOST = {lab: Verdict(RoundResult.BOB_LOST, lab) for lab in LABELS}
-
-
-def _verdict_for(guess: str, claim: str) -> Verdict:
-    """The ruling on a round: the receiver wins iff his guess is the claim."""
-    return _VERDICT_WON[claim] if guess == claim else _VERDICT_LOST[claim]
 
 
 @dataclass(frozen=True)
@@ -184,26 +184,64 @@ def received_state(wire, noise_lambda: float):
     return memo[1]
 
 
+def leaf_transcript(kind: RoundKind, descriptor: str, guess: str, claim: str,
+                    check: Optional[CheckResult], params: ProtocolParams) -> RoundTranscript:
+    """The transcript of a round that ends in the given branch: the receiver
+    wins iff his guess is the claim."""
+    verdict = (_VERDICT_WON if guess == claim else _VERDICT_LOST)[claim]
+    return RoundTranscript(kind, descriptor, guess, verdict, check,
+                           *settle(kind, verdict, check, params))
+
+
+class Leaves(NamedTuple):
+    """What a round on one separable preparation can end in, for one run."""
+
+    received: object  # what the channel delivers
+    p_fail: float  # the check's failure probability on it
+    normal: dict  # guess -> transcript of a normal round
+    passed: dict  # guess -> transcript of a checking round that passes
+    accused: dict  # guess -> transcript of a checking round that accuses
+
+
+def separable_leaves(prep, params: ProtocolParams) -> Leaves:
+    """The Leaves of a preparation (descriptor, wire and claim) under params.
+
+    They are built once and kept on the (immutable) preparation, in one
+    slot holding the params object they belong to, which the slot keeps
+    alive so its identity cannot be reused; any other params object
+    rebuilds and replaces them.
+    """
+    memo = getattr(prep, "_leaves", None)
+    if memo is None or memo[0] is not params:
+        received = received_state(prep.wire, params.noise_lambda)
+
+        def ends(kind, check):
+            return {g: leaf_transcript(kind, prep.descriptor, g, prep.claim, check, params)
+                    for g in LABELS}
+
+        memo = (params, Leaves(received, check_fail_probability(received, prep.claim),
+                               ends(RoundKind.NORMAL, None),
+                               ends(RoundKind.CHECKING, CheckResult.PASS),
+                               ends(RoundKind.CHECKING, CheckResult.ACCUSE)))
+        object.__setattr__(prep, "_leaves", memo)
+    return memo[1]
+
+
 def run_round(alice, bob, params: ProtocolParams, rng) -> RoundTranscript:
-    """Play one full round and return its transcript.
+    """Play one full round and return its transcript, one of the prepared
+    state's separable_leaves.
 
     The round kind is drawn here, Bernoulli(r), before the receiver touches
     the qubit; the sender never learns it except through the payout. The
     verdict follows from the claim she committed to in prepare, and a
     checking round tests that claim on the qubit the receiver stored.
     """
-    prep = alice.prepare(rng)
-    received = received_state(prep.wire, params.noise_lambda)
+    leaves = separable_leaves(alice.prepare(rng), params)
     kind = RoundKind.CHECKING if rng.random() < params.r else RoundKind.NORMAL
-    guess = bob.act(received, kind, rng)
-    verdict = _verdict_for(guess, prep.claim)
-    check = None
-    if kind is RoundKind.CHECKING:
-        p_fail = check_fail_probability(received, prep.claim)
-        check = CheckResult.ACCUSE if rng.random() < p_fail else CheckResult.PASS
-    alice_delta, bob_delta = settle(kind, verdict, check, params)
-    return RoundTranscript(kind, prep.descriptor, guess, verdict, check,
-                           alice_delta, bob_delta)
+    guess = bob.act(leaves.received, kind, rng)
+    if kind is RoundKind.NORMAL:
+        return leaves.normal[guess]
+    return (leaves.accused if rng.random() < leaves.p_fail else leaves.passed)[guess]
 
 
 def abort_monitor(checks: int, accusations: int, params: ProtocolParams) -> MonitorDecision:

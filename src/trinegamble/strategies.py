@@ -315,10 +315,14 @@ def parse_alice_spec(spec: str):
         claim = "a"
         if not rest:
             raise ValueError("fixed strategy needs theta_a=<radians>")
+        seen = set()
         for part in rest.split(","):
             key, eq, value = part.partition("=")
             if not eq:
                 raise ValueError(f"malformed fixed parameter {part!r}")
+            if key in seen:
+                raise ValueError(f"repeated fixed parameter {key!r}")
+            seen.add(key)
             if key == "theta_a":
                 theta = _parse_float(value, "theta_a")
             elif key == "claim":
@@ -351,6 +355,8 @@ def parse_alice_spec(spec: str):
                 n = int(seed)
             except ValueError:
                 raise ValueError(f"entangled:random needs an integer seed, got {seed!r}") from None
+            if n < 0:
+                raise ValueError(f"entangled:random needs a nonnegative seed, got {seed!r}")
             return random_entangled_policy(np.random.default_rng(n))
         raise ValueError(f"unknown entangled preset {rest!r}")
     raise ValueError(f"unknown sender strategy {spec!r}")

@@ -187,6 +187,8 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     ["verify", "--grid-points", "1"],
     ["simulate", "--alice", "mixture:1:inf:a", "--rounds", "10"],
     ["simulate", "--alice", "mixture:1:-inf:a", "--rounds", "10"],
+    ["simulate", "--alice", "fixed:theta_a=0.5,claim=a,claim=b", "--rounds", "10"],
+    ["simulate", "--alice", "entangled:random:-1", "--rounds", "10"],
 ])
 def test_usage_and_validation_errors(capsys, argv):
     code, _, err = _run(capsys, argv)
@@ -195,6 +197,11 @@ def test_usage_and_validation_errors(capsys, argv):
     if "mixture:1:inf:a" in argv or "mixture:1:-inf:a" in argv:
         # names the field and the value, not just "math domain error"
         assert "state angle must be finite" in err and "inf'" in err
+    if "fixed:theta_a=0.5,claim=a,claim=b" in argv:
+        # a repeated key is named, not silently overwritten
+        assert "repeated fixed parameter 'claim'" in err
+    if "entangled:random:-1" in argv:
+        assert "entangled:random" in err and "'-1'" in err
 
 
 @pytest.mark.parametrize("flag", ["--transcript", "--output"])

@@ -1,21 +1,24 @@
 """Seeded output is pinned byte for byte, and no run leaks into the next.
 
 The scalar loop keeps values that are fixed for a run on the immutable
-state objects (the channel's output, the receiver's POVM probabilities)
-and the CLI renders each distinct transcript line once. None of that may
-change a single output byte, nor let one run's values reach another run
-that shares the same state objects.
+objects they derive from (the channel's output and the receiver's POVM
+probabilities on the state, a round's nine possible transcripts on the
+preparation) and the CLI renders each transcript object's line once.
+None of that may change a single output byte, nor let one run's values
+reach another run that shares the same objects.
 """
 
 import hashlib
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trinegamble
+from trinegamble import cli
 from trinegamble.cli import main
 from trinegamble.montecarlo import SimConfig, simulate
 from trinegamble.protocol import ProtocolParams, received_state
@@ -29,7 +32,7 @@ from trinegamble.qubit import (
     optimal_povm,
     trine_states,
 )
-from trinegamble.strategies import BobStrategy, FixedStateCheat, HonestAlice
+from trinegamble.strategies import _HONEST_PREPS, BobStrategy, FixedStateCheat, HonestAlice
 
 # (name, argv, exit code, SHA-256 of stdout, SHA-256 of the transcript file
 # or None for a run without one); recorded before the per-run memos existed
@@ -107,6 +110,7 @@ def test_seeded_cli_output_is_pinned(tmp_path, capsys, name, argv, code, stdout_
 
 
 NOISES = (0.05, 0.2)
+POINTS = ((0.3, 50.0), (0.1, 120.0))  # (r, R)
 ROUNDS = 4_000
 TESTS = Path(__file__).resolve().parent
 
@@ -118,19 +122,20 @@ def _sender(name):
     return FixedStateCheat.from_angle(theta, claim)
 
 
-def _simulate(alice, noise, seed):
-    params = ProtocolParams(r=0.3, R=50.0, noise_lambda=noise)
+def _simulate(alice, point, noise, seed):
+    r, R = point
+    params = ProtocolParams(r=r, R=R, noise_lambda=noise)
     return simulate(SimConfig(rounds=ROUNDS, seed=seed, params=params, alice=alice,
                               bob=BobStrategy.honest_optimal()))
 
 
-def _fresh_result(name, noise, seed) -> str:
+def _fresh_result(name, point, noise, seed) -> str:
     """repr of the SimResult that a new interpreter computes for one run."""
     # this module and the package under test, wherever they were imported from
     paths = [str(TESTS), str(Path(trinegamble.__file__).resolve().parents[1])]
     script = (f"import sys; sys.path[:0] = {paths!r}\n"
               "import test_reproducibility as t\n"
-              f"print(repr(t._simulate(t._sender({name!r}), {noise!r}, {seed!r})))\n")
+              f"print(repr(t._simulate(t._sender({name!r}), {point!r}, {noise!r}, {seed!r})))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, check=True)
     return proc.stdout.strip()
@@ -138,17 +143,27 @@ def _fresh_result(name, noise, seed) -> str:
 
 def test_runs_sharing_state_objects_equal_fresh_runs():
     # one set of sender objects, so every memo one run leaves on them is
-    # there when the next run starts: both noise levels, in both orders
+    # there when the next run starts (the honest sender's preparations are
+    # module-level, shared by every HonestAlice): both (r, R) points and
+    # both noise levels, in both orders. Each noise level plays both points
+    # back to back, so leaves kept for the noise level alone would pay the
+    # other point's penalty on an accusation.
     names = ("honest", "fixed-a", "fixed-b")
     alice = {name: _sender(name) for name in names}
-    cases = [(name, noise) for name in names for noise in NOISES]
+    assert {alice["honest"].prepare(np.random.default_rng(i)) for i in range(20)} == set(
+        _HONEST_PREPS)
+    cases = [(name, point, noise) for name in names for noise in NOISES for point in POINTS]
     seeds = {case: 40 + i for i, case in enumerate(cases)}
     seen = {case: [] for case in cases}
     for order in (cases, cases[::-1]):
-        for name, noise in order:
-            seen[name, noise].append(repr(_simulate(alice[name], noise, seeds[name, noise])))
-    for (name, noise), results in seen.items():
-        assert results[0] == results[1] == _fresh_result(name, noise, seeds[name, noise])
+        for case in order:
+            name, point, noise = case
+            seen[case].append(repr(_simulate(alice[name], point, noise, seeds[case])))
+    # a new interpreter per fresh run, two at a time
+    with ThreadPoolExecutor(2) as pool:
+        fresh = dict(zip(cases, pool.map(lambda case: _fresh_result(*case, seeds[case]), cases)))
+    for case, results in seen.items():
+        assert results[0] == results[1] == fresh[case]
 
 
 # ---------------------------------------------------------------------------
@@ -180,3 +195,41 @@ def test_cached_born_probabilities_follow_the_povm():
     with pytest.raises(TypeError):
         cached_born_probabilities("a", povm)
 
+
+
+# (sender spec, distinct transcripts bound): a separable round ends in one of
+# 9 leaves per preparation, an entangled one in one of her table's 18 branches
+LEAF_BOUNDS = [
+    ("honest", 3 * 9),
+    ("fixed:theta_a=2.2,claim=b", 9),
+    ("mixture:0.5:a:a;0.5:1.1:c", 2 * 9),
+    ("entangled:aligned", 18),
+]
+
+
+@pytest.mark.parametrize("spec, bound", LEAF_BOUNDS, ids=[b[0] for b in LEAF_BOUNDS])
+def test_a_run_hands_out_one_object_per_leaf_and_renders_each_once(tmp_path, monkeypatch,
+                                                                   spec, bound):
+    handed, rendered = [], []
+    real_simulate, real_line = cli.simulate, cli.transcript_line
+
+    def simulate_watched(config, transcript_sink=None):
+        def sink(t):
+            handed.append(t)
+            transcript_sink(t)
+        return real_simulate(config, transcript_sink=sink)
+
+    def line(t):
+        rendered.append(t)
+        return real_line(t)
+
+    monkeypatch.setattr(cli, "simulate", simulate_watched)
+    monkeypatch.setattr(cli, "transcript_line", line)
+    path = tmp_path / "rounds.jsonl"
+    assert main(["simulate", "--alice", spec, "--rounds", "6000", "--seed", "21",
+                 "--noise", "0.1", "--rate-r", "0.5", "--transcript", str(path)]) == 0
+    objects = {id(t): t for t in handed}
+    # one object per leaf: equal transcripts are the same object
+    assert len(objects) == len(set(handed)) <= bound
+    assert len(rendered) == len(objects) == len({id(t) for t in rendered})
+    assert path.read_text().splitlines() == [real_line(t) for t in handed]

@@ -313,6 +313,11 @@ def test_parse_fixed_errors():
                 "fixed:theta_a=1.0,swagger=9", "fixed:theta_a"):
         with pytest.raises(ValueError):
             parse_alice_spec(bad)
+    # a repeated key is named, not silently overwritten by its last value
+    for bad, key in (("fixed:theta_a=0.5,claim=a,claim=b", "claim"),
+                     ("fixed:theta_a=0.5,theta_a=0.6", "theta_a")):
+        with pytest.raises(ValueError, match=f"repeated fixed parameter '{key}'"):
+            parse_alice_spec(bad)
 
 
 def test_parse_mixture():
@@ -349,6 +354,9 @@ def test_parse_entangled_errors():
                 "entangled:random:seven"):
         with pytest.raises(ValueError):
             parse_alice_spec(bad)
+    # a negative seed is named with the spec, not left to numpy
+    with pytest.raises(ValueError, match="entangled:random needs a nonnegative seed, got '-1'"):
+        parse_alice_spec("entangled:random:-1")
 
 
 def test_parse_unknown_sender():
