@@ -99,14 +99,24 @@ def _cell(value) -> str:
 
 
 @contextlib.contextmanager
-def _output_stream(output: str):
-    """The stream --output names, opened before any round is played, so
-    that a path that cannot be written fails before the work, not after."""
-    if output == "-":
-        yield sys.stdout
-        return
-    with open(output, "w", encoding="utf-8", newline="") as stream:
-        yield stream
+def _output_streams(*paths: str):
+    """The streams the paths name ("-" is standard output), every one opened
+    before any round is played and before any is truncated, so that a path
+    that cannot be written fails before the work and leaves what the other
+    files hold."""
+    with contextlib.ExitStack() as stack:
+        streams = []
+        for path in paths:
+            if path == "-":
+                streams.append(sys.stdout)
+            else:
+                # append mode keeps what the file holds until every path is open
+                streams.append(stack.enter_context(
+                    open(path, "a", encoding="utf-8", newline="")))
+        for stream in streams:
+            if stream is not sys.stdout:
+                stream.truncate(0)
+        yield streams
 
 
 def _write_rows(rows, columns, fmt: str, stream) -> None:
@@ -324,27 +334,30 @@ def cmd_simulate(args) -> int:
     config = SimConfig(
         rounds=args.rounds, seed=seed, params=params, alice=alice, bob=bob, workers=args.workers
     )
+    if args.transcript == "-":
+        raise CliError("--transcript needs a file path; standard output carries the result")
     if (args.transcript and args.output != "-"
             and os.path.realpath(args.transcript) == os.path.realpath(args.output)):
         raise CliError("--transcript and --output name the same file")
-    with _output_stream(args.output) as stream:
+    paths = (args.output, args.transcript) if args.transcript else (args.output,)
+    with _output_streams(*paths) as streams:
         if args.transcript:
-            with open(args.transcript, "w", encoding="utf-8") as sink_file:
-                # both engines hand out one prebuilt transcript object per
-                # leaf: render each object's line once, keyed on its id (the
-                # entry holds the object, so the id cannot be reused)
-                lines = {}
+            sink_file = streams[1]
+            # both engines hand out one prebuilt transcript object per
+            # leaf: render each object's line once, keyed on its id (the
+            # entry holds the object, so the id cannot be reused)
+            lines = {}
 
-                def sink(t):
-                    entry = lines.get(id(t))
-                    if entry is None:
-                        entry = lines[id(t)] = (t, transcript_line(t) + "\n")
-                    sink_file.write(entry[1])
+            def sink(t):
+                entry = lines.get(id(t))
+                if entry is None:
+                    entry = lines[id(t)] = (t, transcript_line(t) + "\n")
+                sink_file.write(entry[1])
 
-                result = simulate(config, transcript_sink=sink)
+            result = simulate(config, transcript_sink=sink)
         else:
             result = simulate(config)
-        _write_rows([result.to_record()], SIM_COLUMNS, args.format, stream)
+        _write_rows([result.to_record()], SIM_COLUMNS, args.format, streams[0])
     return 3 if result.aborted else 0
 
 
@@ -368,7 +381,7 @@ def cmd_analytic(args) -> int:
         "gain_checking": breakdown.g_checking,
         "gain_total": breakdown.g_total,
     }
-    with _output_stream(args.output) as stream:
+    with _output_streams(args.output) as (stream,):
         _write_rows([row], tuple(row.keys()), args.format, stream)
     return 0
 
@@ -413,7 +426,7 @@ def cmd_sweep_theta(args) -> int:
     # row i plays seed + i; building every row's config checks --rounds and
     # --workers before --output is opened
     configs = [_sweep_config(args, seed + i, params, alice) for i, alice in enumerate(senders)]
-    with _output_stream(args.output) as stream:
+    with _output_streams(args.output) as (stream,):
         rows = []
         for theta, config in zip(thetas, configs):
             exact = enumerate_exact(config.alice, params)
@@ -452,7 +465,7 @@ def cmd_sweep_r(args) -> int:
     )
     configs = [_sweep_config(args, seed + i, params, HonestAlice())
                for i, params in enumerate(games)]
-    with _output_stream(args.output) as stream:
+    with _output_streams(args.output) as (stream,):
         rows = []
         for config in configs:
             params = config.params

@@ -14,7 +14,7 @@ both draw every branch by the rule of one helper in qubit:
 outcome_bounds for the receiver's POVM outcome and a mixture's
 component, local_measure_branches and remote_povm_branches for the pair,
 check_fail_probability for the check. A separable sender plays round by
-round through protocol.run_round, until the benchmark's statistical
+round through protocol.round_player, until the benchmark's statistical
 check stops raising false alarms at the pass counts a table engine would
 reach. An entangled sender is compiled into her branch table: eighteen
 branches (normal round: receiver's outcome or blind guess x her outcome;
@@ -31,18 +31,19 @@ gets each row's prebuilt transcript. Compiled against the honest
 receiver, the same table is the exact oracle's answer for entangled
 senders.
 
-The scalar loop computes each per-branch value once per run. Each
-preparation carries its leaves for the run (protocol.separable_leaves):
-what the channel delivers, the check's failure probability and the nine
-transcripts a round can end in, ruled from the claim the sender
-committed to, with no call back into her. The honest receiver's outcome
-bounds (qubit.cached_outcome_bounds) live on the received state and a
-mixture's component bounds on the sender. Both engines hand out one
-prebuilt transcript object per leaf or branch (the table builds its
-transcripts with the same protocol.leaf_transcript), so the CLI renders
-each object's line once. enumerate_exact reads a separable sender's
-payoffs from the same leaves. The scalar loop reads _SCALAR_CHUNK rows at
-a time, the table _CHUNK rows.
+The scalar loop compiles its sender once per block, as the table engine
+does: protocol.round_player builds each preparation's leaves (the check's
+failure probability on what the channel delivers, the receiver's outcome
+probabilities and bounds, and the nine transcripts a round can end in,
+ruled from the claim the sender committed to) and plays each round to one
+of them, with no call back into her but prepare. Both engines read the
+receiver only through measurement_povm(), keep what they compile to
+themselves for the block, and hand out one prebuilt transcript object per
+leaf or branch (the table builds its transcripts with the same
+protocol.leaf_transcript), so the CLI renders each object's line once.
+enumerate_exact walks a separable sender's preparations and reads each
+row's probability and payoff from the same leaves. The scalar loop reads
+_SCALAR_CHUNK rows at a time, the table _CHUNK rows.
 
 Abort monitoring and transcript streaming are sequential (the monitor
 reads the running counts in round order), so those runs play in one
@@ -69,26 +70,18 @@ from .protocol import (
     abort_monitor,
     leaf_transcript,
     received_state,
-    run_round,
+    round_player,
     separable_leaves,
 )
 from .qubit import (
     LABELS,
-    born_probabilities,
     check_fail_probability,
     local_measure_branches,
     optimal_povm,
     outcome_bounds,
     remote_povm_branches,
 )
-from .strategies import (
-    _HONEST_PREPS,
-    BobStrategy,
-    EntangledAlice,
-    FixedStateCheat,
-    HonestAlice,
-    MixtureCheat,
-)
+from .strategies import BobStrategy, EntangledAlice
 
 DRAWS_PER_ROUND = 8
 _CHUNK = 1 << 16
@@ -160,7 +153,7 @@ def _block_sums(alice, bob, params, seed, start, count, sink=None):
     sum, sumsq, wins, losses, checks, accusations, aborted).
 
     An entangled sender plays from her branch table, every other sender
-    round by round through run_round.
+    round by round through round_player.
     """
     if isinstance(alice, EntangledAlice):
         return _table_sums(_entangled_table(alice, bob, params), seed, start, count,
@@ -169,12 +162,14 @@ def _block_sums(alice, bob, params, seed, start, count, sink=None):
 
 
 def _scalar_sums(alice, bob, params, seed, start, count, sink=None):
-    """_block_sums through run_round, one round at a time.
+    """_block_sums through round_player, compiled once for the block and
+    played one round at a time.
 
     Every round goes to sink, when given, before the abort monitor looks at
     it, so the round that trips the monitor is still written; rounds is
     short of count only when the monitor tripped.
     """
+    play = round_player(alice, bob, params)
     rng = _RoundRng()
     s1 = 0.0
     s2 = 0.0
@@ -192,7 +187,7 @@ def _scalar_sums(alice, bob, params, seed, start, count, sink=None):
         for row in rows:
             rng.row = row
             rng.pos = 0
-            t = run_round(alice, bob, params, rng)
+            t = play(rng)
             kind, _, _, verdict, check, a_delta, _ = t
             s1 += a_delta
             s2 += a_delta * a_delta
@@ -491,8 +486,9 @@ def enumerate_exact(alice, params: ProtocolParams) -> ExactExpectation:
     """Expected sender gain against the honest receiver, exactly.
 
     Walks the full discrete outcome tree. A separable sender's rows are
-    mixture component x round kind x guess x check outcome, each paying
-    what its leaf's transcript pays (protocol.separable_leaves). An entangled
+    preparation x round kind x guess x check outcome, named after the
+    preparation's descriptor, each weighted by the leaf's probabilities and
+    paying what its transcript pays (protocol.separable_leaves). An entangled
     sender's rows are her branch table, the one the simulation plays:
     ``entangled|normal|guess=g|j=..`` for the receiver's outcome g and her
     outcome j, and ``entangled|checking|guess=g|j=..|pass`` or ``|accuse``.
@@ -500,25 +496,18 @@ def enumerate_exact(alice, params: ProtocolParams) -> ExactExpectation:
     if isinstance(alice, EntangledAlice):
         table = _entangled_table(alice, BobStrategy.honest_optimal(), params)
         return _expectation(table.exact_rows)
-    if isinstance(alice, HonestAlice):
-        comps = [(1.0 / 3.0, prep, prep.descriptor) for prep in _HONEST_PREPS]
-    elif isinstance(alice, FixedStateCheat):
-        comps = [(1.0, alice._prep, f"fixed:claim={alice.claim}")]
-    elif isinstance(alice, MixtureCheat):
-        comps = [(p, prep, prep.descriptor)
-                 for (p, _, _), prep in zip(alice.components, alice._preps)]
-    else:
+    preparations = getattr(alice, "preparations", None)
+    if preparations is None:
         raise ValueError(f"exact enumeration does not support {type(alice).__name__}")
-
     povm = optimal_povm()
     r = params.r
     rows = []
-    for pc, prep, desc in comps:
-        leaves = separable_leaves(prep, params)
-        probs = born_probabilities(leaves.received, povm)
+    for pc, prep in preparations:
+        desc = prep.descriptor
+        leaves = separable_leaves(prep, povm, params)
         w_normal = pc * (1.0 - r)
-        for k, lab in enumerate(povm.labels):
-            rows.append((f"{desc}|normal|guess={lab}", w_normal * probs[k],
+        for lab, p in zip(povm.labels, leaves.probs):
+            rows.append((f"{desc}|normal|guess={lab}", w_normal * p,
                          leaves.normal[lab].alice_delta))
         q_fail = leaves.p_fail
         q_pass = 1.0 - q_fail

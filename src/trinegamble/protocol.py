@@ -15,45 +15,56 @@ The receiver never fabricates accusations here. Check outcomes come out of
 the projective test itself; a receiver lying about that outcome is outside
 the modeled threat set.
 
-run_round plays one round of a separable sender, who sends a definite
-qubit; each random choice is drawn by the rule the exact oracle reads
-(qubit.outcome_bounds for the receiver's outcome, check_fail_probability
-for the check). An entangled sender, who keeps half of a pair, is never
-played here: her rounds come from the branch table montecarlo compiles,
-which builds its transcripts with the same leaf_transcript and runs the
-same abort_monitor.
+round_player compiles a separable sender, who sends a definite qubit,
+and a receiver for one run, and plays her round by round; each random
+choice is drawn by the rule the exact oracle reads (qubit.outcome_bounds
+for the receiver's outcome, check_fail_probability for the check). An
+entangled sender, who keeps half of a pair, is never played here: her
+rounds come from the branch table montecarlo compiles, which builds its
+transcripts with the same leaf_transcript and runs the same abort_monitor.
 
-Strategies are duck-typed: the sender object provides prepare, which
-returns a strategies.Preparation (what she sends and what she claims);
-the receiver object provides act, which returns his guess, and
-measurement_povm. The protocol rules each round itself from the
+Strategies are duck-typed. A separable sender provides prepare, which
+returns a strategies.Preparation (what she sends and what she claims),
+and preparations, the (weight, Preparation) pairs prepare draws from. A
+receiver provides measurement_povm: the POVM he measures in normal
+rounds, or None when he guesses blind. Everything else he does is fixed
+by the protocol, and the protocol rules each round itself from the
 committed claim. The strategies module supplies the standard
 implementations.
 
 A separable round can end in only nine ways once its preparation is
 drawn: a normal round on each of three guesses, or a checking round on
 each guess that passes or accuses. separable_leaves builds those nine
-transcripts once per preparation and run (with leaf_transcript, which
-rules the round and settles it), together with what the channel delivers
-(received_state, built once per state object and noise strength) and the
-check's failure probability, and run_round hands out one of them. The
-honest receiver likewise keeps his POVM outcome bounds on the state he
-receives (qubit.cached_outcome_bounds). Every round still draws its
-uniforms in the same order and compares them with the same numbers,
-which the same code computed once instead of once per round, so seeded
-output is bit-identical, and each round of a run that ends the same way
-returns the same transcript object.
+transcripts for one preparation (with leaf_transcript, which rules the
+round and settles it), together with the check's failure probability on
+what the channel delivers (received_state) and the receiver's outcome
+probabilities and bounds. round_player builds them once per preparation
+and run and keeps them itself, keyed by the preparation's identity;
+nothing is stored on the states, the preparations or the strategies.
+Every round draws its uniforms in the same order and compares them with
+the same numbers as a round that computed them afresh, so seeded output
+is bit-identical, and each round of a run that ends the same way returns
+the same transcript object.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .qubit import LABEL_INDEX, LABELS, check_fail_probability, depolarize
+from .qubit import (
+    LABEL_INDEX,
+    LABELS,
+    born_probabilities,
+    check_fail_probability,
+    depolarize,
+    outcome_bounds,
+    uniform_label,
+)
 
 
 class RoundKind(Enum):
@@ -168,20 +179,10 @@ def settle(kind: RoundKind, verdict: Verdict, check: Optional[CheckResult],
 def received_state(wire, noise_lambda: float):
     """What the receiver holds when the pure state wire is sent: wire itself
     on a clean channel, otherwise its density after the depolarizing channel
-    of strength noise_lambda.
-
-    The density is built once per state object and kept on the (immutable)
-    state, in one slot holding the strength it belongs to; another strength
-    rebuilds and replaces it. Like qubit.cached_born_probabilities, the memo
-    cannot grow and dies with the state.
-    """
+    of strength noise_lambda."""
     if noise_lambda == 0.0:
         return wire
-    memo = getattr(wire, "_received", None)
-    if memo is None or memo[0] != noise_lambda:
-        memo = (noise_lambda, depolarize(wire.density(), noise_lambda))
-        object.__setattr__(wire, "_received", memo)
-    return memo[1]
+    return depolarize(wire.density(), noise_lambda)
 
 
 def leaf_transcript(kind: RoundKind, descriptor: str, guess: str, claim: str,
@@ -196,52 +197,57 @@ def leaf_transcript(kind: RoundKind, descriptor: str, guess: str, claim: str,
 class Leaves(NamedTuple):
     """What a round on one separable preparation can end in, for one run."""
 
-    received: object  # what the channel delivers
-    p_fail: float  # the check's failure probability on it
+    p_fail: float  # the check's failure probability on what the channel delivers
+    probs: Optional[tuple]  # the receiver's Born probabilities; None for a blind receiver
+    bounds: Optional[tuple]  # their outcome_bounds
     normal: dict  # guess -> transcript of a normal round
     passed: dict  # guess -> transcript of a checking round that passes
     accused: dict  # guess -> transcript of a checking round that accuses
 
 
-def separable_leaves(prep, params: ProtocolParams) -> Leaves:
-    """The Leaves of a preparation (descriptor, wire and claim) under params.
+def separable_leaves(prep, povm, params: ProtocolParams) -> Leaves:
+    """The Leaves of a preparation (descriptor, wire and claim) against a
+    receiver who measures povm in normal rounds (None for a blind one)."""
+    received = received_state(prep.wire, params.noise_lambda)
+    probs = None if povm is None else born_probabilities(received, povm)
 
-    They are built once and kept on the (immutable) preparation, in one
-    slot holding the params object they belong to, which the slot keeps
-    alive so its identity cannot be reused; any other params object
-    rebuilds and replaces them.
+    def ends(kind, check):
+        return {g: leaf_transcript(kind, prep.descriptor, g, prep.claim, check, params)
+                for g in LABELS}
+
+    return Leaves(check_fail_probability(received, prep.claim), probs,
+                  None if probs is None else outcome_bounds(probs),
+                  ends(RoundKind.NORMAL, None), ends(RoundKind.CHECKING, CheckResult.PASS),
+                  ends(RoundKind.CHECKING, CheckResult.ACCUSE))
+
+
+def round_player(alice, bob, params: ProtocolParams):
+    """Compile a separable sender and a receiver for one run: the leaves of
+    each of her preparations, and play(rng), which plays one full round and
+    returns its transcript, one of those leaves.
+
+    The sender prepares first. The round kind is drawn next, Bernoulli(r),
+    before the receiver touches the qubit; the sender never learns it
+    except through the payout. In a checking round the receiver stores the
+    qubit and guesses uniformly, and the check tests the claim she committed
+    to in prepare; in a normal round he bisects one uniform into his POVM's
+    outcome bounds, or guesses uniformly when he is blind.
     """
-    memo = getattr(prep, "_leaves", None)
-    if memo is None or memo[0] is not params:
-        received = received_state(prep.wire, params.noise_lambda)
+    povm = bob.measurement_povm()
+    labels = None if povm is None else povm.labels
+    leaves = {id(prep): separable_leaves(prep, povm, params) for _, prep in alice.preparations}
+    prepare, r = alice.prepare, params.r
 
-        def ends(kind, check):
-            return {g: leaf_transcript(kind, prep.descriptor, g, prep.claim, check, params)
-                    for g in LABELS}
+    def play(rng) -> RoundTranscript:
+        leaf = leaves[id(prepare(rng))]
+        if rng.random() < r:
+            guess = uniform_label(rng)
+            return (leaf.accused if rng.random() < leaf.p_fail else leaf.passed)[guess]
+        if labels is None:
+            return leaf.normal[uniform_label(rng)]
+        return leaf.normal[labels[bisect_right(leaf.bounds, rng.random())]]
 
-        memo = (params, Leaves(received, check_fail_probability(received, prep.claim),
-                               ends(RoundKind.NORMAL, None),
-                               ends(RoundKind.CHECKING, CheckResult.PASS),
-                               ends(RoundKind.CHECKING, CheckResult.ACCUSE)))
-        object.__setattr__(prep, "_leaves", memo)
-    return memo[1]
-
-
-def run_round(alice, bob, params: ProtocolParams, rng) -> RoundTranscript:
-    """Play one full round and return its transcript, one of the prepared
-    state's separable_leaves.
-
-    The round kind is drawn here, Bernoulli(r), before the receiver touches
-    the qubit; the sender never learns it except through the payout. The
-    verdict follows from the claim she committed to in prepare, and a
-    checking round tests that claim on the qubit the receiver stored.
-    """
-    leaves = separable_leaves(alice.prepare(rng), params)
-    kind = RoundKind.CHECKING if rng.random() < params.r else RoundKind.NORMAL
-    guess = bob.act(leaves.received, kind, rng)
-    if kind is RoundKind.NORMAL:
-        return leaves.normal[guess]
-    return (leaves.accused if rng.random() < leaves.p_fail else leaves.passed)[guess]
+    return play
 
 
 def abort_monitor(checks: int, accusations: int, params: ProtocolParams) -> MonitorDecision:

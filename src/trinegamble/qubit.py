@@ -10,9 +10,12 @@ the sampler and the exact oracle both read: outcome_bounds for a POVM's
 outcomes, local_measure_branches and remote_povm_branches for either
 party's measurement of a pair, and check_fail_probability for the claim
 check. A draw over such a table is one uniform bisected into its bounds
-(sample_outcome); it goes through the single method ``rng.random()``, so
-that any object exposing it (stdlib ``random.Random``, a numpy
-``Generator``, or a deterministic stub) can drive it.
+(sample_outcome); the engines compute the bounds once per run and bisect
+them themselves. Every draw goes through the single method
+``rng.random()``, so that any object exposing it (stdlib
+``random.Random``, a numpy ``Generator``, or a deterministic stub) can
+drive it. The helpers are pure functions of immutable values and keep
+nothing on them.
 """
 
 from __future__ import annotations
@@ -342,32 +345,6 @@ def born_probabilities(state, povm: Povm) -> tuple:
     else:
         raise TypeError(f"expected PureState or DensityOperator, got {type(state).__name__}")
     return tuple(probs)
-
-
-def cached_born_probabilities(state, povm: Povm) -> tuple:
-    """born_probabilities(state, povm), computed once per state object.
-
-    States are immutable, so the result is kept on the state itself, in one
-    slot holding the POVM it belongs to; asking with another POVM computes
-    and replaces it. The memo cannot grow and lives only as long as the
-    state, so a sender that makes a fresh state every round costs time, not
-    memory.
-    """
-    memo = getattr(state, "_born", None)
-    if memo is None or memo[0] is not povm:
-        memo = (povm, born_probabilities(state, povm))
-        object.__setattr__(state, "_born", memo)
-    return memo[1]
-
-
-def cached_outcome_bounds(state, povm: Povm) -> tuple:
-    """outcome_bounds(cached_born_probabilities(state, povm)), kept on the
-    state in a slot of its own like the probabilities beside it."""
-    memo = getattr(state, "_bounds", None)
-    if memo is None or memo[0] is not povm:
-        memo = (povm, outcome_bounds(cached_born_probabilities(state, povm)))
-        object.__setattr__(state, "_bounds", memo)
-    return memo[1]
 
 
 def sample_outcome(probs, rng) -> int:

@@ -6,11 +6,13 @@ keeps half of a pure two-qubit state and picks her claim from lookup
 tables after hearing the guess. Receivers: the honest optimal
 discriminator and a blind receiver who guesses uniformly.
 
-Strategies are stateless, so one instance can serve any number of rounds
-and pickles cleanly across worker processes. A separable sender's
-prepare() returns the qubit she sends and the claim she commits to, and
-protocol.run_round plays her round by round and rules it from that claim.
-A receiver's act() returns his guess. An entangled sender is data only:
+Strategies are data. One instance can serve any number of rounds and
+runs, pickles cleanly across worker processes, and carries nothing from
+one run to the next. A separable sender lists her finite preparations,
+each the qubit she sends and the claim she commits to, with their weights,
+and prepare() draws one; protocol.round_player compiles them for a run
+and rules each round from the claim. A receiver is read only through
+measurement_povm(). An entangled sender is a pair and two lookup tables:
 montecarlo compiles her policies into a branch table and plays and
 enumerates her from it.
 """
@@ -24,7 +26,6 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .protocol import RoundKind
 from .qubit import (
     LABEL_INDEX,
     LABELS,
@@ -32,13 +33,11 @@ from .qubit import (
     Povm,
     PureState,
     TwoQubitState,
-    cached_outcome_bounds,
     local_measure_branches,
     optimal_povm,
     outcome_bounds,
     state_from_bloch,
     trine_states,
-    uniform_label,
 )
 
 TRINE = trine_states()
@@ -79,6 +78,7 @@ class HonestAlice:
     """Uniform trine preparation, truthful claim."""
 
     kind: ClassVar[str] = "honest"
+    preparations: ClassVar[tuple] = tuple((1.0 / 3.0, prep) for prep in _HONEST_PREPS)
 
     def prepare(self, rng) -> Preparation:
         return _HONEST_PREPS[int(rng.random() * 3.0)]
@@ -114,6 +114,10 @@ class FixedStateCheat:
             raise ValueError(f"unknown trine label {claim!r}")
         return cls(in_plane_state(_PLANE_ANGLE[claim] + theta_a), claim)
 
+    @property
+    def preparations(self) -> tuple:
+        return ((1.0, self._prep),)
+
     def prepare(self, rng) -> Preparation:
         return self._prep
 
@@ -145,6 +149,10 @@ class MixtureCheat:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_bounds", outcome_bounds([p for p, _, _ in comps]))
         object.__setattr__(self, "_preps", tuple(preps))
+
+    @property
+    def preparations(self) -> tuple:
+        return tuple((p, prep) for (p, _, _), prep in zip(self.components, self._preps))
 
     def prepare(self, rng) -> Preparation:
         return self._preps[bisect_right(self._bounds, rng.random())]
@@ -247,8 +255,9 @@ _BOB_KINDS = ("honest_optimal", "random_guess")
 
 @dataclass(frozen=True)
 class BobStrategy:
-    """Receiver behavior in normal rounds; checking rounds are fixed by the
-    protocol (store the qubit, guess uniformly) for every kind."""
+    """Receiver behavior in normal rounds: the POVM he measures, or None for
+    a blind guess. Checking rounds are fixed by the protocol (store the
+    qubit, guess uniformly) for every kind."""
 
     kind: str = "honest_optimal"
 
@@ -268,19 +277,6 @@ class BobStrategy:
 
     def measurement_povm(self) -> Optional[Povm]:
         return self._povm
-
-    def act(self, received, kind: RoundKind, rng) -> str:
-        """The guess he announces for the received qubit.
-
-        In a checking round he stores the qubit unmeasured, for the
-        protocol's check, and guesses uniformly, as a blind receiver always
-        does. Otherwise he measures: one uniform bisected into his POVM's
-        outcome bounds, computed once per received state.
-        """
-        povm = self._povm
-        if povm is None or kind is RoundKind.CHECKING:
-            return uniform_label(rng)
-        return povm.labels[bisect_right(cached_outcome_bounds(received, povm), rng.random())]
 
 
 def posterior_unmeasured(r: float, guess_matches_claim: bool) -> float:

@@ -8,9 +8,10 @@ guess, the sender's outcome from local_measure_branches on the pair, and
 the check on the collapsed sent half. It takes no channel noise.
 
 The package plays entangled senders only from their compiled branch table.
-Installed over montecarlo.run_round (with monkeypatch), this round makes
-montecarlo._scalar_sums play them round by round, so the two can be
-compared row for row.
+Installed over montecarlo.round_player as
+functools.partial(functools.partial, run_round) (with monkeypatch), this
+round makes montecarlo._scalar_sums play them round by round, so the two
+can be compared row for row.
 """
 
 from trinegamble.protocol import (

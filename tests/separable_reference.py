@@ -1,5 +1,5 @@
 """The separable round as the sender once ruled it: the reference the lean
-protocol.run_round is checked against.
+protocol.round_player is checked against.
 
 Here every round asks the sender to adjudicate herself, validates her
 ruling against the guess, wraps the receiver's guess in a named tuple
@@ -7,11 +7,12 @@ ruling against the guess, wraps the receiver's guess in a named tuple
 with sample_outcome, which rebuilds the outcome bounds on each draw. A
 mixture draws its component the same way from its weights. The package
 instead rules each round from the claim committed in prepare and bisects
-bounds computed once per state, with the same uniforms in the same order.
+bounds computed once per run, with the same uniforms in the same order.
 
-Installed over montecarlo.run_round (with monkeypatch), this round makes
-montecarlo._scalar_sums play separable senders the old way, so the two can
-be compared row for row.
+Installed over montecarlo.round_player as
+functools.partial(functools.partial, run_round) (with monkeypatch), this
+round makes montecarlo._scalar_sums play separable senders the old way, so
+the two can be compared row for row.
 """
 
 from typing import NamedTuple
@@ -27,7 +28,7 @@ from trinegamble.protocol import (
 )
 from trinegamble.qubit import (
     LABEL_INDEX,
-    cached_born_probabilities,
+    born_probabilities,
     check_fail_probability,
     sample_outcome,
     uniform_label,
@@ -75,7 +76,7 @@ def act(bob, received, kind, rng):
     povm = bob.measurement_povm()
     if povm is None:
         return MeasuredGuess(uniform_label(rng))
-    probs = cached_born_probabilities(received, povm)
+    probs = born_probabilities(received, povm)
     return MeasuredGuess(povm.labels[sample_outcome(probs, rng)])
 
 

@@ -3,7 +3,7 @@ same tuple, same transcripts, same trip row.
 
 An entangled sender plays only from her compiled branch table. The
 reference (entangled_reference.run_round, installed over
-montecarlo.run_round) plays her one uniform at a time through the scalar
+montecarlo.round_player) plays her one uniform at a time through the scalar
 loop. Both must return exactly the same totals, bit for bit, for every
 receiver, checking rate, seed, offset and length; write the same
 transcript lines; trip the abort monitor on the same row; and fail where
@@ -11,6 +11,7 @@ the other fails.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -85,7 +86,8 @@ def test_the_blank_outcome_sender_exercises_the_shifted_check():
 @pytest.fixture
 def reference(monkeypatch):
     """The scalar loop, playing entangled senders through the reference round."""
-    monkeypatch.setattr(montecarlo, "run_round", entangled_reference.run_round)
+    monkeypatch.setattr(montecarlo, "round_player",
+                        functools.partial(functools.partial, entangled_reference.run_round))
     return _scalar_sums
 
 

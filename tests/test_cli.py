@@ -255,6 +255,31 @@ def test_bad_sweep_flags_leave_the_output_untouched(tmp_path, monkeypatch, capsy
     assert target.read_bytes() == b"a line that must survive\n"
 
 
+@pytest.mark.parametrize("bad", ["--transcript", "--output"])
+def test_a_bad_simulate_path_leaves_the_other_file_untouched(tmp_path, monkeypatch, capsys, bad):
+    monkeypatch.setattr("trinegamble.cli.simulate", _no_simulate)
+    missing = str(tmp_path / "missing" / "x.out")
+    good = tmp_path / "kept.out"
+    good.write_bytes(b"a line that must survive\n")
+    other = {"--transcript": "--output", "--output": "--transcript"}[bad]
+    code, out, err = _run(capsys, ["simulate", "--rounds", "10", "--seed", "1",
+                                   bad, missing, other, str(good)])
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error: ") and missing in err
+    assert good.read_bytes() == b"a line that must survive\n"
+
+
+def test_transcript_to_standard_output_is_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("trinegamble.cli.simulate", _no_simulate)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, ["simulate", "--rounds", "10", "--seed", "1",
+                                   "--transcript", "-"])
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == (
+        "error: --transcript needs a file path; standard output carries the result")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["sweep-theta", "sweep-r"])
 def test_sweep_seeds_past_uint64_fail_before_any_row(monkeypatch, capsys, command):
     monkeypatch.setattr("trinegamble.cli.simulate", _no_simulate)

@@ -5,6 +5,7 @@ analytics module, the full branch enumeration, and sampled runs must all
 tell the same story.
 """
 
+import functools
 import math
 import os
 import random
@@ -26,7 +27,7 @@ from trinegamble.montecarlo import (
     enumerate_exact,
     simulate,
 )
-from trinegamble.protocol import CheckResult, ProtocolParams, RoundResult, run_round
+from trinegamble.protocol import CheckResult, ProtocolParams, RoundResult, round_player
 from trinegamble.strategies import (
     BobStrategy,
     EntangledAlice,
@@ -172,9 +173,12 @@ def test_every_strategy_combo_fits_the_draw_budget():
         (aligned_pair(), BobStrategy.random_guess(), ProtocolParams(r=0.5, R=398.0)),
     ]
     for i, (alice, bob, params) in enumerate(combos):
-        play = reference_round if isinstance(alice, EntangledAlice) else run_round
+        if isinstance(alice, EntangledAlice):
+            play = functools.partial(reference_round, alice, bob, params)
+        else:
+            play = round_player(alice, bob, params)
         for row in _round_rows(1000 + i, 0, 2_000):
-            play(alice, bob, params, _StrictRow(row))
+            play(_StrictRow(row))
 
 
 # ---------------------------------------------------------------------------

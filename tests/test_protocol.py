@@ -18,7 +18,7 @@ from trinegamble.protocol import (
     RoundResult,
     Verdict,
     abort_monitor,
-    run_round,
+    round_player,
     settle,
     transcript_line,
     transcript_record,
@@ -44,8 +44,8 @@ def _checks(state, claim, rng, n):
     """The check results of n checking rounds of a sender who always sends
     state and claims claim."""
     alice, bob = FixedStateCheat(state, claim), BobStrategy.honest_optimal()
-    params = ProtocolParams(r=0.999999, R=398.0)
-    rounds = (run_round(alice, bob, params, rng) for _ in range(n))
+    play = round_player(alice, bob, ProtocolParams(r=0.999999, R=398.0))
+    rounds = (play(rng) for _ in range(n))
     return [t.check for t in rounds if t.kind is RoundKind.CHECKING]
 
 
@@ -183,14 +183,16 @@ def test_monitor_no_checks_yet():
 
 def _play(alice, bob, params, n, seed=0):
     rng = random.Random(seed)
-    return tally(run_round(alice, bob, params, rng) for _ in range(n))
+    play = round_player(alice, bob, params)
+    return tally(play(rng) for _ in range(n))
 
 
 def test_zero_rate_means_no_checking_rounds():
     rng = random.Random(4)
-    params = ProtocolParams(r=0.0, R=398.0)
+    play = round_player(HonestAlice(), BobStrategy.honest_optimal(),
+                        ProtocolParams(r=0.0, R=398.0))
     for _ in range(500):
-        t = run_round(HonestAlice(), BobStrategy.honest_optimal(), params, rng)
+        t = play(rng)
         assert t.kind is RoundKind.NORMAL and t.check is None
 
 
@@ -240,10 +242,11 @@ def test_noise_accuses_honest_sender_at_half_lambda():
 
 def test_transcript_shape_and_export():
     rng = random.Random(71)
-    params = ProtocolParams(r=0.5, R=398.0)
+    play = round_player(HonestAlice(), BobStrategy.honest_optimal(),
+                        ProtocolParams(r=0.5, R=398.0))
     saw_check = False
     for _ in range(200):
-        t = run_round(HonestAlice(), BobStrategy.honest_optimal(), params, rng)
+        t = play(rng)
         rec = transcript_record(t)
         assert set(rec) == {"kind", "sent", "guess", "result", "claimed",
                             "check", "alice_delta", "bob_delta"}

@@ -1,13 +1,14 @@
 """Seeded output is pinned byte for byte, and no run leaks into the next.
 
-The scalar loop keeps values that are fixed for a run on the immutable
-objects they derive from (the channel's output and the receiver's POVM
-probabilities on the state, a round's nine possible transcripts on the
-preparation) and the CLI renders each transcript object's line once.
-None of that may change a single output byte, nor let one run's values
-reach another run that shares the same objects.
+The scalar loop compiles what is fixed for a run (the channel's output,
+the receiver's POVM probabilities and bounds and the nine transcripts a
+round can end in, per preparation) once per block and keeps it to itself,
+and the CLI renders each transcript object's line once. None of that may
+change a single output byte, leave anything on the sender's objects, or
+let one run's values reach another run that shares the same objects.
 """
 
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -22,17 +23,15 @@ from trinegamble import cli
 from trinegamble.cli import main
 from trinegamble.montecarlo import SimConfig, simulate
 from trinegamble.protocol import ProtocolParams, received_state
-from trinegamble.qubit import (
-    LABELS,
-    DensityOperator,
-    Povm,
-    born_probabilities,
-    cached_born_probabilities,
-    depolarize,
-    optimal_povm,
-    trine_states,
+from trinegamble.qubit import born_probabilities, depolarize, optimal_povm, trine_states
+from trinegamble.strategies import (
+    _HONEST_PREPS,
+    BobStrategy,
+    FixedStateCheat,
+    HonestAlice,
+    MixtureCheat,
+    in_plane_state,
 )
-from trinegamble.strategies import _HONEST_PREPS, BobStrategy, FixedStateCheat, HonestAlice
 
 # (name, argv, exit code, SHA-256 of stdout, SHA-256 of the transcript file
 # or None for a run without one); recorded before the per-run memos existed
@@ -167,34 +166,38 @@ def test_runs_sharing_state_objects_equal_fresh_runs():
 
 
 # ---------------------------------------------------------------------------
-# the memos themselves
+# nothing is left on the objects a run reads
 
 
-def test_received_state_is_built_once_per_state_and_strength():
-    state = FixedStateCheat.from_angle(1.3, "c").state
-    assert received_state(state, 0.0) is state
-    first = received_state(state, 0.1)
-    assert received_state(state, 0.1) is first
-    other = received_state(state, 0.3)
-    assert other is not first
-    for lam, rho in ((0.1, first), (0.3, other), (0.1, received_state(state, 0.1))):
-        assert isinstance(rho, DensityOperator)
-        assert np.array_equal(rho.matrix, depolarize(state.density(), lam).matrix)
+def _built_fields(obj) -> set:
+    return {f.name for f in dataclasses.fields(obj)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+def test_a_run_leaves_nothing_on_preparations_or_wires(workers, noise):
+    senders = [HonestAlice(), FixedStateCheat.from_angle(1.3, "c"),
+               MixtureCheat(((0.4, trine_states()["a"], "a"), (0.6, in_plane_state(1.1), "c")))]
+    params = ProtocolParams(r=0.3, R=50.0, noise_lambda=noise)
+    for alice in senders:
+        for bob in (BobStrategy.honest_optimal(), BobStrategy.random_guess()):
+            simulate(SimConfig(rounds=2_000, seed=5, params=params, alice=alice, bob=bob,
+                               workers=workers))
+        for _, prep in alice.preparations:
+            assert set(vars(prep)) == _built_fields(prep)
+            assert set(vars(prep.wire)) == _built_fields(prep.wire)
+    # the channel's output is a fresh value on every call, and bad input
+    # still raises
+    wire = senders[1].state
+    assert received_state(wire, 0.0) is wire
+    rho = received_state(wire, 0.1)
+    assert rho is not received_state(wire, 0.1)
+    assert np.array_equal(rho.matrix, depolarize(wire.density(), 0.1).matrix)
+    assert set(vars(wire)) == _built_fields(wire)
     with pytest.raises(ValueError):
-        received_state(state, 1.5)
-
-
-def test_cached_born_probabilities_follow_the_povm():
-    povm = optimal_povm()
-    flipped = Povm(tuple(reversed(povm.elements)), LABELS)
-    for state in (*trine_states().values(), depolarize(trine_states()["b"].density(), 0.2),
-                  FixedStateCheat.from_angle(0.9, "a").state):
-        for p in (povm, flipped, povm):
-            assert cached_born_probabilities(state, p) == born_probabilities(state, p)
-        assert cached_born_probabilities(state, povm) is cached_born_probabilities(state, povm)
+        received_state(wire, 1.5)
     with pytest.raises(TypeError):
-        cached_born_probabilities("a", povm)
-
+        born_probabilities("a", optimal_povm())
 
 
 # (sender spec, distinct transcripts bound): a separable round ends in one of

@@ -1,12 +1,12 @@
 """The lean separable round against the reference round: same rows, same
 tuple, same transcripts, same trip row.
 
-protocol.run_round rules each round from the claim the sender committed
-to in prepare and bisects outcome bounds computed once per state (or, for
-a mixture's component, once per sender). The reference
-(separable_reference.run_round, installed over montecarlo.run_round) asks
-the sender to adjudicate, validates her ruling and rebuilds the bounds on
-every draw. Through montecarlo._scalar_sums both must return exactly the
+protocol.round_player rules each round from the claim the sender
+committed to in prepare and bisects outcome bounds computed once per run
+(or, for a mixture's component, once per sender). The reference
+(separable_reference.run_round, installed over montecarlo.round_player)
+asks the sender to adjudicate, validates her ruling and rebuilds the
+bounds on every draw. Through montecarlo._scalar_sums both must return exactly the
 same totals, bit for bit, for every sender family, receiver, checking
 rate, noise strength, seed, offset and length; hand the sink equal
 transcripts, and so write the same transcript lines; and trip the abort
@@ -14,6 +14,7 @@ monitor on the same row.
 """
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -72,11 +73,12 @@ def _play(alice, bob, params, seed, start, count):
 
 @pytest.fixture
 def reference(monkeypatch):
-    """_play, with the reference round installed over montecarlo.run_round."""
+    """_play, with the reference round installed over montecarlo.round_player."""
 
     def play(*args):
         with monkeypatch.context() as m:
-            m.setattr(montecarlo, "run_round", separable_reference.run_round)
+            m.setattr(montecarlo, "round_player",
+                      functools.partial(functools.partial, separable_reference.run_round))
             return _play(*args)
 
     return play

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trinegamble.montecarlo import _entangled_table
-from trinegamble.protocol import ProtocolParams, RoundKind, RoundResult, received_state, run_round
+from trinegamble.protocol import ProtocolParams, RoundKind, RoundResult, received_state, round_player
 from trinegamble.qubit import (
     LABELS,
     TwoQubitState,
@@ -67,10 +67,10 @@ def test_honest_preparation_is_uniform_and_truthful(rng):
 
 def test_honest_adjudication_is_truthful(rng):
     # each round is ruled by the claim she committed to: the label she sent
-    params = ProtocolParams(r=0.5, R=398.0)
+    play = round_player(HonestAlice(), BobStrategy.honest_optimal(), ProtocolParams(r=0.5, R=398.0))
     results = set()
     for _ in range(300):
-        t = run_round(HonestAlice(), BobStrategy.honest_optimal(), params, rng)
+        t = play(rng)
         assert t.sent_descriptor == f"trine:{t.verdict.claimed}"
         assert (t.verdict.result is RoundResult.BOB_WON) == (t.guess == t.verdict.claimed)
         results.add(t.verdict.result)
@@ -95,10 +95,10 @@ def test_fixed_cheat_descriptor_encodes_angle():
 
 def test_fixed_cheat_always_claims_its_label(rng):
     cheat = FixedStateCheat(TRINE["b"], claim="a")
-    params = ProtocolParams(r=0.5, R=398.0)
+    play = round_player(cheat, BobStrategy.random_guess(), ProtocolParams(r=0.5, R=398.0))
     guesses = set()
     for _ in range(300):
-        t = run_round(cheat, BobStrategy.random_guess(), params, rng)
+        t = play(rng)
         assert t.verdict.claimed == "a"
         assert (t.verdict.result is RoundResult.BOB_WON) == (t.guess == "a")
         guesses.add(t.guess)
@@ -206,48 +206,71 @@ def test_random_entangled_policies_are_valid_and_reproducible():
 # receiver strategies
 
 
+def _guesses(bob, r, rng, n, kind=RoundKind.NORMAL):
+    """The guesses of the rounds of the given kind among n rounds against a
+    sender who always sends the trine state a and claims it."""
+    play = round_player(FixedStateCheat(TRINE["a"], "a"), bob, ProtocolParams(r=r, R=398.0))
+    return [t.guess for t in (play(rng) for _ in range(n)) if t.kind is kind]
+
+
 def test_honest_receiver_measures_with_the_discriminator(rng):
     bob = BobStrategy.honest_optimal()
     assert bob.measurement_povm() is optimal_povm()
     n = 30_000
-    hits = sum(bob.act(TRINE["a"], RoundKind.NORMAL, rng) == "a" for _ in range(n))
+    hits = _guesses(bob, 0.0, rng, n).count("a")
     assert abs(hits / n - 2.0 / 3.0) < four_sigma(2.0 / 3.0, n)
 
 
-def test_receiver_checking_round_stores_the_exact_object(monkeypatch, rng):
-    # the receiver leaves the stored qubit unmeasured, and the check reads
-    # the very object the channel delivered
-    bob = BobStrategy.honest_optimal()
-    assert bob.act(object(), RoundKind.CHECKING, rng) in LABELS
+class _PovmOnly:
+    """A receiver with nothing but his POVM."""
+
+    def __init__(self, povm):
+        self.povm = povm
+
+    def measurement_povm(self):
+        return self.povm
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+def test_a_receiver_is_read_only_through_his_povm(monkeypatch, noise):
+    # the receiver is data: a round never hands him the qubit, and the
+    # check reads what the channel delivers
+    params = ProtocolParams(r=0.5, R=398.0, noise_lambda=noise)
+    cheat = FixedStateCheat(TRINE["c"], claim="a")
     checked = []
 
     def recording(state, claimed):
         checked.append(state)
-        return 0.0
+        return 0.25
 
     monkeypatch.setattr("trinegamble.protocol.check_fail_probability", recording)
-    for noise in (0.0, 0.1):
-        params = ProtocolParams(r=0.9, R=398.0, noise_lambda=noise)
-        cheat = FixedStateCheat(TRINE["c"], claim="a")
-        for _ in range(20):
-            run_round(cheat, bob, params, rng)
-        assert checked and all(state is received_state(TRINE["c"], noise) for state in checked)
-        checked.clear()
+    for bob in (BobStrategy.honest_optimal(), BobStrategy.random_guess()):
+        stub = round_player(cheat, _PovmOnly(bob.measurement_povm()), params)
+        play = round_player(cheat, bob, params)
+        rng_stub, rng_bob = random.Random(3), random.Random(3)
+        assert [stub(rng_stub) for _ in range(500)] == [play(rng_bob) for _ in range(500)]
+    want = received_state(TRINE["c"], noise)
+    assert len(checked) == 4
+    for state in checked:
+        assert state is want if noise == 0.0 else np.array_equal(state.matrix, want.matrix)
 
 
 def test_checking_round_guess_is_uniform_for_every_kind(rng):
     n = 30_000
     for bob in (BobStrategy.honest_optimal(), BobStrategy.random_guess()):
-        hits = sum(bob.act(TRINE["a"], RoundKind.CHECKING, rng) == "b"
-                   for _ in range(n))
-        assert abs(hits / n - 1 / 3) < four_sigma(1 / 3, n)
+        guesses = _guesses(bob, 0.999999, rng, n, RoundKind.CHECKING)
+        hits = guesses.count("b")
+        assert abs(hits / len(guesses) - 1 / 3) < four_sigma(1 / 3, len(guesses))
 
 
 def test_blind_receivers(rng):
     blind = BobStrategy.random_guess()
     assert blind.measurement_povm() is None
-    # a blind guess never looks at the qubit
-    assert blind.act(object(), RoundKind.NORMAL, rng) in LABELS
+    # a blind guess ignores the qubit: he names the sent state a third of
+    # the time, not two thirds
+    n = 30_000
+    hits = _guesses(blind, 0.0, rng, n).count("a")
+    assert abs(hits / n - 1 / 3) < four_sigma(1 / 3, n)
 
 
 def test_receiver_validation():
@@ -411,18 +434,21 @@ def test_all_strategies_pickle():
         BobStrategy.honest_optimal(),
         BobStrategy.random_guess(),
     ]
-    rng = random.Random(9)
     params = ProtocolParams(r=0.05, R=398.0)
+    honest = BobStrategy.honest_optimal()
+
+    def rounds(alice, bob):
+        play, rng = round_player(alice, bob, params), random.Random(9)
+        return [play(rng) for _ in range(200)]
+
     for obj in subjects:
         clone = pickle.loads(pickle.dumps(obj))
         if isinstance(clone, EntangledAlice):
             # a worker compiles the same branch table
-            honest = BobStrategy.honest_optimal()
             assert (_entangled_table(clone, honest, params).exact_rows
                     == _entangled_table(obj, honest, params).exact_rows)
-        elif hasattr(clone, "prepare"):
-            # a worker plays the same rounds
-            t = run_round(clone, BobStrategy.honest_optimal(), params, random.Random(9))
-            assert t == run_round(obj, BobStrategy.honest_optimal(), params, random.Random(9))
+        elif isinstance(clone, BobStrategy):
+            assert rounds(HonestAlice(), clone) == rounds(HonestAlice(), obj)
         else:
-            assert clone.act(TRINE["a"], RoundKind.NORMAL, rng) in LABELS
+            # a worker plays the same rounds
+            assert rounds(clone, honest) == rounds(obj, honest)
