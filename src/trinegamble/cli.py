@@ -26,6 +26,7 @@ import csv
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -114,7 +115,8 @@ def _output_streams(*paths: str):
                 streams.append(stack.enter_context(
                     open(path, "a", encoding="utf-8", newline="")))
         for stream in streams:
-            if stream is not sys.stdout:
+            # as opening with "w" would: a pipe or a device is not truncated
+            if stream is not sys.stdout and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
                 stream.truncate(0)
         yield streams
 

@@ -236,6 +236,7 @@ def round_player(alice, bob, params: ProtocolParams):
     povm = bob.measurement_povm()
     labels = None if povm is None else povm.labels
     leaves = {id(prep): separable_leaves(prep, povm, params) for _, prep in alice.preparations}
+    # the bound method keeps the sender, and so her preparations and their ids
     prepare, r = alice.prepare, params.r
 
     def play(rng) -> RoundTranscript:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -267,6 +268,22 @@ def test_a_bad_simulate_path_leaves_the_other_file_untouched(tmp_path, monkeypat
     assert code == 1 and out == ""
     assert err.splitlines()[-1].startswith("error: ") and missing in err
     assert good.read_bytes() == b"a line that must survive\n"
+    # once both open, both are replaced
+    second = tmp_path / "second.out"
+    second.write_bytes(b"x" * 10_000)
+    monkeypatch.undo()
+    code, out, err = _run(capsys, ["simulate", "--rounds", "10", "--seed", "1",
+                                   bad, str(second), other, str(good)])
+    assert code == 0, err
+    transcript, output = (second, good) if bad == "--transcript" else (good, second)
+    assert len(transcript.read_text().splitlines()) == 10
+    assert output.read_text().startswith("rounds,") and len(output.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("flag", ["--transcript", "--output"])
+def test_a_device_path_is_written_like_a_file(capsys, flag):
+    code, _, err = _run(capsys, ["simulate", "--rounds", "10", "--seed", "1", flag, os.devnull])
+    assert code == 0, err
 
 
 def test_transcript_to_standard_output_is_rejected(tmp_path, monkeypatch, capsys):
