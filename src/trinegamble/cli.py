@@ -490,6 +490,8 @@ def cmd_sweep_r(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
+    if seed < 0:
+        raise CliError(f"--seed must be nonnegative, got {seed}")
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
     if args.grid_points < 2:

@@ -9,41 +9,41 @@ index) no matter how rounds are partitioned. simulate splits a run into
 at most os.cpu_count() processes: the worker count only changes float
 accumulation order in the reported means, and the process count nothing.
 
-Each block is played by one of two engines, chosen by the sender, and
-both draw every branch by the rule of one helper in qubit:
-outcome_bounds for the receiver's POVM outcome and a mixture's
-component, local_measure_branches and remote_povm_branches for the pair,
-check_fail_probability for the check. A separable sender plays round by
-round through protocol.round_player, until the benchmark's statistical
-check stops raising false alarms at the pass counts a table engine would
-reach. An entangled sender is compiled into her branch table: eighteen
-branches (normal round: receiver's outcome or blind guess x her outcome;
-checking round: guess x her outcome x pass or accuse), each with its
-transcript, and the thresholds each uniform is compared against. numpy
-plays a chunk of rows at once and adds the payoffs strictly left to
-right, so the totals are bit-identical to playing the rows one at a time
-(tests/entangled_reference.py). Each row does only the work of its own
-round kind: at r = 0.05 that took the benchmark's entangled-scan
-workload from 3.65M to 5.82M rounds/s (BENCH_8.json). With a transcript
-sink or the abort monitor, a chunk's checking rows go through
-abort_monitor in order, the chunk ends at the tripping row, and the sink
-gets each row's prebuilt transcript. Compiled against the honest
-receiver, the same table is the exact oracle's answer for entangled
-senders.
+Every sender is compiled, once per block, into one branch table: the
+single description of her game, read by both the sampler and the exact
+oracle. Each row carries its transcript (built by
+protocol.leaf_transcript), its exact (name, probability, payoff), and
+the table holds the thresholds each uniform is compared against. Every
+threshold comes from one helper in qubit: outcome_bounds for the
+receiver's POVM outcome, local_measure_branches and remote_povm_branches
+for the pair, check_fail_probability for the check. enumerate_exact sums
+the rows of the table compiled against the honest receiver.
 
-The scalar loop compiles its sender once per block, as the table engine
-does: protocol.round_player builds each preparation's leaves (the check's
-failure probability on what the channel delivers, the receiver's outcome
-probabilities and bounds, and the nine transcripts a round can end in,
-ruled from the claim the sender committed to) and plays each round to one
-of them, with no call back into her but prepare. Both engines read the
-receiver only through measurement_povm(), keep what they compile to
-themselves for the block, and hand out one prebuilt transcript object per
-leaf or branch (the table builds its transcripts with the same
-protocol.leaf_transcript), so the CLI renders each object's line once.
-enumerate_exact walks a separable sender's preparations and reads each
-row's probability and payoff from the same leaves. The scalar loop reads
-_SCALAR_CHUNK rows at a time, the table _CHUNK rows.
+A separable sender's table (_separable_table) has nine rows per
+preparation: a normal round on each receiver outcome or blind guess, or
+a checking round on each guess that passes or accuses. round_player is
+a view over it: it turns one round's uniforms into a row index (prepare,
+the round kind, the guess bisected into the preparation's outcome bounds
+or drawn blind, then the check) and returns that row's transcript, and
+the scalar loop plays it round by round. Separable senders stay on that
+loop until the benchmark's statistical check stops raising false alarms
+at the pass counts numpy would reach. An entangled sender's table
+(_entangled_table) has eighteen rows (normal round: receiver's outcome or
+blind guess x her outcome; checking round: guess x her outcome x pass or
+accuse). numpy plays a chunk of its rows at once and adds the payoffs
+strictly left to right, so the totals are bit-identical to playing the
+rows one at a time (tests/entangled_reference.py). Each row does only the
+work of its own round kind: at r = 0.05 that took the benchmark's
+entangled-scan workload from 3.65M to 5.82M rounds/s (BENCH_8.json).
+With a transcript sink or the abort monitor, a chunk's checking rows go
+through abort_monitor in order, the chunk ends at the tripping row, and
+the sink gets each row's prebuilt transcript.
+
+Both engines read the receiver only through measurement_povm(), keep
+their table to themselves for the block, and hand out one prebuilt
+transcript object per row, so the CLI renders each object's line once.
+The scalar loop reads _SCALAR_CHUNK rows at a time, the table _CHUNK
+rows.
 
 Abort monitoring and transcript streaming are sequential (the monitor
 reads the running counts in round order), so those runs play in one
@@ -55,6 +55,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -67,17 +68,16 @@ from .protocol import (
     ProtocolParams,
     RoundKind,
     RoundResult,
+    RoundTranscript,
     abort_monitor,
     leaf_transcript,
     received_state,
-    round_player,
-    separable_leaves,
 )
 from .qubit import (
     LABELS,
+    born_probabilities,
     check_fail_probability,
     local_measure_branches,
-    optimal_povm,
     outcome_bounds,
     remote_povm_branches,
 )
@@ -148,12 +148,108 @@ def _round_rows(seed: int, start: int, count: int) -> np.ndarray:
     return np.random.Generator(bits).random((count, DRAWS_PER_ROUND))
 
 
+class _SeparableTable(NamedTuple):
+    """A separable sender and a receiver as rows, stride = len(labels) + 6
+    of them per preparation. For preparation i, row i * stride + k is a
+    normal round on the receiver's outcome or blind guess k, and row
+    i * stride + len(labels) + 2 * g + fail a checking round on guess g
+    that passes (fail = 0) or accuses. exact_rows gives each row's (name,
+    probability, payoff) and transcripts the round a row on it plays;
+    p_fail and bounds are what round_player compares the uniforms with.
+    """
+
+    labels: tuple  # the receiver's outcome labels; LABELS for a blind guess
+    p_fail: tuple  # the check's failure probability per preparation
+    bounds: Optional[tuple]  # outcome_bounds per preparation; None for a blind receiver
+    exact_rows: tuple
+    transcripts: tuple
+
+
+def _separable_table(alice, bob, params) -> _SeparableTable:
+    """Compile a separable sender and a receiver into their rows.
+
+    Each (weight, preparation) of alice.preparations gives the
+    received_state of its wire, the check's failure probability on that
+    state for its claim, and the receiver's Born probabilities on it and
+    their outcome_bounds; a blind receiver names each label with
+    probability 1/3. Every row's transcript comes from leaf_transcript, so
+    the sampler and the exact oracle read the same rows.
+    """
+    preparations = getattr(alice, "preparations", None)
+    if preparations is None:
+        raise ValueError(f"cannot tabulate {type(alice).__name__}: it is not entangled "
+                         "and lists no preparations")
+    povm = bob.measurement_povm()
+    labels = LABELS if povm is None else povm.labels
+    r = params.r
+    p_fail, bounds, exact_rows, transcripts = [], [], [], []
+
+    def row(prep, kind, prob, guess, check):
+        t = leaf_transcript(kind, prep.descriptor, guess, prep.claim, check, params)
+        name = f"{prep.descriptor}|{kind.value}|guess={guess}"
+        exact_rows.append((name if check is None else f"{name}|{check.value}", prob,
+                           t.alice_delta))
+        transcripts.append(t)
+
+    for pc, prep in preparations:
+        received = received_state(prep.wire, params.noise_lambda)
+        if povm is None:
+            probs = (1.0 / 3.0,) * len(labels)
+        else:
+            probs = born_probabilities(received, povm)
+            bounds.append(outcome_bounds(probs))
+        q_fail = check_fail_probability(received, prep.claim)
+        p_fail.append(q_fail)
+        w_normal = pc * (1.0 - r)
+        for lab, p in zip(labels, probs):
+            row(prep, RoundKind.NORMAL, w_normal * p, lab, None)
+        w_check = pc * r / 3.0
+        q_pass = 1.0 - q_fail
+        for g in LABELS:
+            row(prep, RoundKind.CHECKING, w_check * q_pass, g, CheckResult.PASS)
+            row(prep, RoundKind.CHECKING, w_check * q_fail, g, CheckResult.ACCUSE)
+    return _SeparableTable(labels, tuple(p_fail), None if povm is None else tuple(bounds),
+                           tuple(exact_rows), tuple(transcripts))
+
+
+def round_player(alice, bob, params: ProtocolParams):
+    """Compile a separable sender and a receiver for one run into their
+    _separable_table and return play(rng), which plays one full round and
+    returns the transcript of the row it lands on.
+
+    The sender prepares first. The round kind is drawn next, Bernoulli(r),
+    before the receiver touches the qubit; the sender never learns it
+    except through the payout. In a checking round the receiver stores the
+    qubit and guesses uniformly, and the check tests the claim she committed
+    to in prepare; in a normal round he bisects one uniform into his POVM's
+    outcome bounds, or guesses uniformly when he is blind.
+    """
+    table = _separable_table(alice, bob, params)
+    transcripts, p_fail, bounds = table.transcripts, table.p_fail, table.bounds
+    normal = len(table.labels)
+    stride = normal + 2 * len(LABELS)
+    # the bound method keeps the sender, and so her preparations and their ids
+    index = {id(prep): i for i, (_, prep) in enumerate(alice.preparations)}
+    prepare, r = alice.prepare, params.r
+
+    def play(rng) -> RoundTranscript:
+        i = index[id(prepare(rng))]
+        if rng.random() < r:
+            row = i * stride + normal + 2 * int(rng.random() * 3.0)
+            return transcripts[row + (rng.random() < p_fail[i])]
+        if bounds is None:
+            return transcripts[i * stride + int(rng.random() * 3.0)]
+        return transcripts[i * stride + bisect_right(bounds[i], rng.random())]
+
+    return play
+
+
 def _block_sums(alice, bob, params, seed, start, count, sink=None):
     """Play rounds [start, start + count) in order and total them: (rounds,
     sum, sumsq, wins, losses, checks, accusations, aborted).
 
-    An entangled sender plays from her branch table, every other sender
-    round by round through round_player.
+    An entangled sender plays from her branch table with numpy, every
+    other sender round by round through round_player.
     """
     if isinstance(alice, EntangledAlice):
         return _table_sums(_entangled_table(alice, bob, params), seed, start, count,
@@ -483,41 +579,17 @@ class ExactExpectation:
 
 
 def enumerate_exact(alice, params: ProtocolParams) -> ExactExpectation:
-    """Expected sender gain against the honest receiver, exactly.
-
-    Walks the full discrete outcome tree. A separable sender's rows are
-    preparation x round kind x guess x check outcome, named after the
-    preparation's descriptor, each weighted by the leaf's probabilities and
-    paying what its transcript pays (protocol.separable_leaves). An entangled
-    sender's rows are her branch table, the one the simulation plays:
-    ``entangled|normal|guess=g|j=..`` for the receiver's outcome g and her
-    outcome j, and ``entangled|checking|guess=g|j=..|pass`` or ``|accuse``.
+    """Expected sender gain against the honest receiver, exactly: the sum
+    over the rows of the sender's branch table, the one the simulation
+    plays. A separable sender's rows are preparation x round kind x guess
+    x check outcome, named ``<descriptor>|normal|guess=g`` and
+    ``<descriptor>|checking|guess=g|pass`` or ``|accuse``. An entangled
+    sender's are ``entangled|normal|guess=g|j=..`` for the receiver's
+    outcome g and her outcome j, and ``entangled|checking|guess=g|j=..|pass``
+    or ``|accuse``.
     """
-    if isinstance(alice, EntangledAlice):
-        table = _entangled_table(alice, BobStrategy.honest_optimal(), params)
-        return _expectation(table.exact_rows)
-    preparations = getattr(alice, "preparations", None)
-    if preparations is None:
-        raise ValueError(f"exact enumeration does not support {type(alice).__name__}")
-    povm = optimal_povm()
-    r = params.r
-    rows = []
-    for pc, prep in preparations:
-        desc = prep.descriptor
-        leaves = separable_leaves(prep, povm, params)
-        w_normal = pc * (1.0 - r)
-        for lab, p in zip(povm.labels, leaves.probs):
-            rows.append((f"{desc}|normal|guess={lab}", w_normal * p,
-                         leaves.normal[lab].alice_delta))
-        q_fail = leaves.p_fail
-        q_pass = 1.0 - q_fail
-        w_check = pc * r / 3.0
-        for lab in LABELS:
-            rows.append((f"{desc}|checking|guess={lab}|pass", w_check * q_pass,
-                         leaves.passed[lab].alice_delta))
-            rows.append((f"{desc}|checking|guess={lab}|accuse", w_check * q_fail,
-                         leaves.accused[lab].alice_delta))
-    return _expectation(rows)
+    compile_table = _entangled_table if isinstance(alice, EntangledAlice) else _separable_table
+    return _expectation(compile_table(alice, BobStrategy.honest_optimal(), params).exact_rows)
 
 
 def _expectation(rows) -> ExactExpectation:

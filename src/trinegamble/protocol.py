@@ -15,56 +15,33 @@ The receiver never fabricates accusations here. Check outcomes come out of
 the projective test itself; a receiver lying about that outcome is outside
 the modeled threat set.
 
-round_player compiles a separable sender, who sends a definite qubit,
-and a receiver for one run, and plays her round by round; each random
-choice is drawn by the rule the exact oracle reads (qubit.outcome_bounds
-for the receiver's outcome, check_fail_probability for the check). An
-entangled sender, who keeps half of a pair, is never played here: her
-rounds come from the branch table montecarlo compiles, which builds its
-transcripts with the same leaf_transcript and runs the same abort_monitor.
+This module holds the rules and nothing of how a game is tabulated:
+leaf_transcript rules a round that ends in a given branch from the
+committed claim and settles it, settle pays it, received_state is what
+the channel delivers, abort_monitor is the receiver's tripwire, and
+transcript_record and transcript_line are the export format. montecarlo
+compiles every sender, separable or entangled, into one branch table
+whose transcripts leaf_transcript builds, and both its sampler and its
+exact oracle read that table.
 
 Strategies are duck-typed. A separable sender provides prepare, which
 returns a strategies.Preparation (what she sends and what she claims),
 and preparations, the (weight, Preparation) pairs prepare draws from. A
 receiver provides measurement_povm: the POVM he measures in normal
 rounds, or None when he guesses blind. Everything else he does is fixed
-by the protocol, and the protocol rules each round itself from the
-committed claim. The strategies module supplies the standard
-implementations.
-
-A separable round can end in only nine ways once its preparation is
-drawn: a normal round on each of three guesses, or a checking round on
-each guess that passes or accuses. separable_leaves builds those nine
-transcripts for one preparation (with leaf_transcript, which rules the
-round and settles it), together with the check's failure probability on
-what the channel delivers (received_state) and the receiver's outcome
-probabilities and bounds. round_player builds them once per preparation
-and run and keeps them itself, keyed by the preparation's identity;
-nothing is stored on the states, the preparations or the strategies.
-Every round draws its uniforms in the same order and compares them with
-the same numbers as a round that computed them afresh, so seeded output
-is bit-identical, and each round of a run that ends the same way returns
-the same transcript object.
+by the protocol, and each round is ruled from the committed claim. The
+strategies module supplies the standard implementations.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .qubit import (
-    LABEL_INDEX,
-    LABELS,
-    born_probabilities,
-    check_fail_probability,
-    depolarize,
-    outcome_bounds,
-    uniform_label,
-)
+from .qubit import LABEL_INDEX, LABELS, depolarize
 
 
 class RoundKind(Enum):
@@ -192,63 +169,6 @@ def leaf_transcript(kind: RoundKind, descriptor: str, guess: str, claim: str,
     verdict = (_VERDICT_WON if guess == claim else _VERDICT_LOST)[claim]
     return RoundTranscript(kind, descriptor, guess, verdict, check,
                            *settle(kind, verdict, check, params))
-
-
-class Leaves(NamedTuple):
-    """What a round on one separable preparation can end in, for one run."""
-
-    p_fail: float  # the check's failure probability on what the channel delivers
-    probs: Optional[tuple]  # the receiver's Born probabilities; None for a blind receiver
-    bounds: Optional[tuple]  # their outcome_bounds
-    normal: dict  # guess -> transcript of a normal round
-    passed: dict  # guess -> transcript of a checking round that passes
-    accused: dict  # guess -> transcript of a checking round that accuses
-
-
-def separable_leaves(prep, povm, params: ProtocolParams) -> Leaves:
-    """The Leaves of a preparation (descriptor, wire and claim) against a
-    receiver who measures povm in normal rounds (None for a blind one)."""
-    received = received_state(prep.wire, params.noise_lambda)
-    probs = None if povm is None else born_probabilities(received, povm)
-
-    def ends(kind, check):
-        return {g: leaf_transcript(kind, prep.descriptor, g, prep.claim, check, params)
-                for g in LABELS}
-
-    return Leaves(check_fail_probability(received, prep.claim), probs,
-                  None if probs is None else outcome_bounds(probs),
-                  ends(RoundKind.NORMAL, None), ends(RoundKind.CHECKING, CheckResult.PASS),
-                  ends(RoundKind.CHECKING, CheckResult.ACCUSE))
-
-
-def round_player(alice, bob, params: ProtocolParams):
-    """Compile a separable sender and a receiver for one run: the leaves of
-    each of her preparations, and play(rng), which plays one full round and
-    returns its transcript, one of those leaves.
-
-    The sender prepares first. The round kind is drawn next, Bernoulli(r),
-    before the receiver touches the qubit; the sender never learns it
-    except through the payout. In a checking round the receiver stores the
-    qubit and guesses uniformly, and the check tests the claim she committed
-    to in prepare; in a normal round he bisects one uniform into his POVM's
-    outcome bounds, or guesses uniformly when he is blind.
-    """
-    povm = bob.measurement_povm()
-    labels = None if povm is None else povm.labels
-    leaves = {id(prep): separable_leaves(prep, povm, params) for _, prep in alice.preparations}
-    # the bound method keeps the sender, and so her preparations and their ids
-    prepare, r = alice.prepare, params.r
-
-    def play(rng) -> RoundTranscript:
-        leaf = leaves[id(prepare(rng))]
-        if rng.random() < r:
-            guess = uniform_label(rng)
-            return (leaf.accused if rng.random() < leaf.p_fail else leaf.passed)[guess]
-        if labels is None:
-            return leaf.normal[uniform_label(rng)]
-        return leaf.normal[labels[bisect_right(leaf.bounds, rng.random())]]
-
-    return play
 
 
 def abort_monitor(checks: int, accusations: int, params: ProtocolParams) -> MonitorDecision:

@@ -131,14 +131,6 @@ class DensityOperator:
             raise ValueError("density matrix must be positive semidefinite")
         object.__setattr__(self, "_flat", (r00, r01, r10, r11))
 
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityOperator":
-        return state.density()
-
-    @classmethod
-    def maximally_mixed(cls) -> "DensityOperator":
-        return cls([[0.5, 0.0], [0.0, 0.5]])
-
     def bloch(self) -> BlochVector:
         r00, r01, _, r11 = self._flat
         return BlochVector(2.0 * r01.real, -2.0 * r01.imag, r00.real - r11.real)
@@ -231,25 +223,6 @@ def state_from_bloch(v: BlochVector) -> PureState:
     half = theta / 2.0
     phi = math.atan2(v.y, v.x)
     return PureState(math.cos(half), math.sin(half) * complex(math.cos(phi), math.sin(phi)))
-
-
-def mixture_density(weights, states) -> DensityOperator:
-    """Density operator of a classical mixture of pure states."""
-    weights = list(weights)
-    states = list(states)
-    if len(weights) != len(states) or not states:
-        raise ValueError("weights and states must be nonempty and of equal length")
-    if any(w < 0.0 for w in weights):
-        raise ValueError("mixture weights must be nonnegative")
-    total = sum(weights)
-    if abs(total - 1.0) > ATOL:
-        raise ValueError(f"mixture weights must sum to 1, got {total!r}")
-    m00 = m01 = m11 = 0.0 + 0.0j
-    for w, s in zip(weights, states):
-        m00 += w * (s.a0 * s.a0.conjugate())
-        m01 += w * (s.a0 * s.a1.conjugate())
-        m11 += w * (s.a1 * s.a1.conjugate())
-    return DensityOperator([[m00, m01], [m01.conjugate(), m11]])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,5 @@
 """The separable round as the sender once ruled it: the reference the lean
-protocol.round_player is checked against.
+montecarlo.round_player is checked against.
 
 Here every round asks the sender to adjudicate herself, validates her
 ruling against the guess, wraps the receiver's guess in a named tuple

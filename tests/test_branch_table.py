@@ -26,6 +26,7 @@ from trinegamble.montecarlo import (
     _entangled_table,
     _result_from_sums,
     _scalar_sums,
+    _separable_table,
     _table_branches,
     simulate,
 )
@@ -35,6 +36,8 @@ from trinegamble.strategies import (
     BobStrategy,
     EntangledAlice,
     FixedStateCheat,
+    HonestAlice,
+    MixtureCheat,
     aligned_pair,
     in_plane_state,
     random_entangled_policy,
@@ -42,7 +45,7 @@ from trinegamble.strategies import (
 )
 
 import entangled_reference
-from conftest import closed_form_attack
+from conftest import closed_form_attack, random_pure
 
 TRINE = trine_states()
 BOBS = {"honest": BobStrategy.honest_optimal(), "blind": BobStrategy.random_guess()}
@@ -437,6 +440,55 @@ def test_a_noisy_table_matches_the_density_matrix(bob):
         want = _density_rows(alice, BOBS[bob], params)
         assert sorted(got) == sorted(want)
         assert max(abs(got[name] - want[name]) for name in got) < 1e-12
+
+
+def _separable_density_rows(alice, bob, params):
+    """Every row's (probability, payoff) from the 2x2 density of each
+    preparation's wire s after the channel, (1 - lam) |s><s| + lam I/2,
+    against the receiver's POVM elements and the claim's projector."""
+    lam, r = params.noise_lambda, params.r
+    povm = bob.measurement_povm()
+    rows = {}
+    for pc, prep in alice.preparations:
+        rho = (1.0 - lam) * _projector(prep.wire) + lam * np.eye(2) / 2.0
+        passed = np.trace(_projector(TRINE[prep.claim]) @ rho).real
+        for k, g in enumerate(LABELS):
+            stake = -params.win_payout if g == prep.claim else params.lose_payout
+            seen = 1.0 / 3.0 if povm is None else np.trace(povm.elements[k] @ rho).real
+            rows[f"{prep.descriptor}|normal|guess={g}"] = (pc * (1.0 - r) * seen, stake)
+            rows[f"{prep.descriptor}|checking|guess={g}|pass"] = (pc * r / 3.0 * passed, stake)
+            rows[f"{prep.descriptor}|checking|guess={g}|accuse"] = (
+                pc * r / 3.0 * (1.0 - passed), -params.R)
+    return rows
+
+
+def _random_separable_senders(rng):
+    claims = [LABELS[int(i)] for i in rng.integers(3, size=5)]
+    weights = rng.dirichlet(np.ones(4))
+    return (HonestAlice(), FixedStateCheat(random_pure(rng), claims[0]),
+            MixtureCheat(tuple((float(w), random_pure(rng), c)
+                               for w, c in zip(weights, claims[1:]))))
+
+
+@pytest.mark.parametrize("bob", sorted(BOBS))
+def test_every_separable_row_matches_the_density_matrix(bob):
+    # the sampler and the exact oracle read these rows, so they are checked
+    # from outside: each row's probability and payoff, and its transcript
+    rng = np.random.default_rng(2027)
+    for _ in range(50):
+        p = float(rng.uniform(0.5, 0.9))
+        params = ProtocolParams(r=float(rng.uniform(0.0, 0.9)), R=float(rng.uniform(1.0, 500.0)),
+                                p=p, lose_payout=p / (1.0 - p),
+                                noise_lambda=float(rng.uniform(0.0, 1.0)))
+        for alice in _random_separable_senders(rng):
+            table = _separable_table(alice, BOBS[bob], params)
+            want = _separable_density_rows(alice, BOBS[bob], params)
+            assert len(table.exact_rows) == 9 * len(alice.preparations) == len(want)
+            for (name, prob, payoff), t in zip(table.exact_rows, table.transcripts):
+                assert abs(prob - want[name][0]) < 1e-12 and payoff == want[name][1]
+                check = "" if t.check is None else f"|{t.check.value}"
+                assert name == f"{t.sent_descriptor}|{t.kind.value}|guess={t.guess}{check}"
+                assert payoff == t.alice_delta
 
 
 def test_a_fully_depolarizing_channel_leaves_the_receiver_nothing():

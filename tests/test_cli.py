@@ -190,6 +190,7 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     ["simulate", "--alice", "mixture:1:-inf:a", "--rounds", "10"],
     ["simulate", "--alice", "fixed:theta_a=0.5,claim=a,claim=b", "--rounds", "10"],
     ["simulate", "--alice", "entangled:random:-1", "--rounds", "10"],
+    ["verify", "--seed", "-1"],
 ])
 def test_usage_and_validation_errors(capsys, argv):
     code, _, err = _run(capsys, argv)
@@ -203,6 +204,8 @@ def test_usage_and_validation_errors(capsys, argv):
         assert "repeated fixed parameter 'claim'" in err
     if "entangled:random:-1" in argv:
         assert "entangled:random" in err and "'-1'" in err
+    if argv[:1] == ["verify"] and "--seed" in argv:
+        assert "error: --seed must be nonnegative, got -1" in err
 
 
 @pytest.mark.parametrize("flag", ["--transcript", "--output"])

@@ -8,7 +8,6 @@ tell the same story.
 import functools
 import math
 import os
-import random
 
 import numpy as np
 import pytest
@@ -25,9 +24,10 @@ from trinegamble.montecarlo import (
     _round_rows,
     compare_stats,
     enumerate_exact,
+    round_player,
     simulate,
 )
-from trinegamble.protocol import CheckResult, ProtocolParams, RoundResult, round_player
+from trinegamble.protocol import CheckResult, ProtocolParams, RoundResult
 from trinegamble.strategies import (
     BobStrategy,
     EntangledAlice,

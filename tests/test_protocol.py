@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from trinegamble.montecarlo import round_player
 from trinegamble.protocol import (
     CheckResult,
     MonitorDecision,
@@ -18,7 +19,6 @@ from trinegamble.protocol import (
     RoundResult,
     Verdict,
     abort_monitor,
-    round_player,
     settle,
     transcript_line,
     transcript_record,

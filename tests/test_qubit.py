@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from trinegamble.qubit import (
     ATOL,
@@ -25,7 +25,6 @@ from trinegamble.qubit import (
     check_fail_probability,
     depolarize,
     local_measure_branches,
-    mixture_density,
     optimal_povm,
     partial_trace,
     outcome_bounds,
@@ -39,7 +38,7 @@ from trinegamble.montecarlo import _NORMAL, _entangled_table, _round_rows, _tabl
 from trinegamble.protocol import ProtocolParams
 from trinegamble.strategies import BobStrategy, EntangledAlice
 
-from conftest import four_sigma, random_basis, random_pair, random_pure
+from conftest import four_sigma, random_basis, random_pair
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -137,44 +136,11 @@ def test_state_from_bloch_rejects_non_unit():
 # mixtures and density operators
 
 
-def test_mixture_of_antipodal_states_is_maximally_mixed():
-    rho = mixture_density([0.5, 0.5], [PureState(1.0, 0.0), PureState(0.0, 1.0)])
-    b = rho.bloch()
-    assert abs(b.x) < 1e-12 and abs(b.y) < 1e-12 and abs(b.z) < 1e-12
-
-
-def test_single_component_mixture_is_the_projector():
-    t = trine_states()
-    rho = mixture_density([1.0], [t["b"]])
-    assert rho.expectation(t["b"]) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_uniform_trine_mixture_is_maximally_mixed():
     t = trine_states()
-    rho = mixture_density([1 / 3, 1 / 3, 1 / 3], [t[lab] for lab in LABELS])
+    rho = DensityOperator(sum(t[lab].density().matrix for lab in LABELS) / 3.0)
     b = rho.bloch()
     assert abs(b.x) < 1e-12 and abs(b.y) < 1e-12 and abs(b.z) < 1e-12
-
-
-def test_mixture_weights_must_sum_to_one():
-    t = trine_states()
-    with pytest.raises(ValueError):
-        mixture_density([0.7, 0.7], [t["a"], t["b"]])
-    with pytest.raises(ValueError):
-        mixture_density([1.5, -0.5], [t["a"], t["b"]])
-
-
-@given(st.lists(st.tuples(st.floats(0.01, 1.0), pure_states()), min_size=1, max_size=4))
-def test_mixture_bloch_is_weight_average(parts):
-    total = sum(w for w, _ in parts)
-    weights = [w / total for w, _ in parts]
-    states = [s for _, s in parts]
-    rho = mixture_density(weights, states)
-    bx = sum(w * bloch_from_state(s).x for w, s in zip(weights, states))
-    by = sum(w * bloch_from_state(s).y for w, s in zip(weights, states))
-    bz = sum(w * bloch_from_state(s).z for w, s in zip(weights, states))
-    b = rho.bloch()
-    assert abs(b.x - bx) < 1e-9 and abs(b.y - by) < 1e-9 and abs(b.z - bz) < 1e-9
 
 
 def test_density_operator_validation():
@@ -216,7 +182,7 @@ def test_uniform_honest_input_guessed_correctly_two_thirds():
 
 
 def test_born_on_maximally_mixed_is_uniform():
-    probs = born_probabilities(DensityOperator.maximally_mixed(), optimal_povm())
+    probs = born_probabilities(DensityOperator(np.eye(2) / 2.0), optimal_povm())
     for p in probs:
         assert abs(p - 1.0 / 3.0) < 1e-12
 

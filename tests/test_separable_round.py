@@ -1,7 +1,7 @@
 """The lean separable round against the reference round: same rows, same
 tuple, same transcripts, same trip row.
 
-protocol.round_player rules each round from the claim the sender
+montecarlo.round_player rules each round from the claim the sender
 committed to in prepare and bisects outcome bounds computed once per run
 (or, for a mixture's component, once per sender). The reference
 (separable_reference.run_round, installed over montecarlo.round_player)

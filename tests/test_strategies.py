@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trinegamble.montecarlo import _entangled_table
-from trinegamble.protocol import ProtocolParams, RoundKind, RoundResult, received_state, round_player
+from trinegamble.montecarlo import _entangled_table, round_player
+from trinegamble.protocol import ProtocolParams, RoundKind, RoundResult, received_state
 from trinegamble.qubit import (
     LABELS,
     TwoQubitState,
-    born_probabilities,
     local_measure_branches,
     optimal_povm,
     trine_states,
@@ -243,7 +242,7 @@ def test_a_receiver_is_read_only_through_his_povm(monkeypatch, noise):
         checked.append(state)
         return 0.25
 
-    monkeypatch.setattr("trinegamble.protocol.check_fail_probability", recording)
+    monkeypatch.setattr("trinegamble.montecarlo.check_fail_probability", recording)
     for bob in (BobStrategy.honest_optimal(), BobStrategy.random_guess()):
         stub = round_player(cheat, _PovmOnly(bob.measurement_povm()), params)
         play = round_player(cheat, bob, params)
