@@ -85,10 +85,18 @@ _VERDICT_WON = {lab: Verdict(RoundResult.BOB_WON, lab) for lab in LABELS}
 _VERDICT_LOST = {lab: Verdict(RoundResult.BOB_LOST, lab) for lab in LABELS}
 
 
+# The round stakes, at fair odds for the receiver's optimal success rate
+# 2/3: he wins 1 with probability 2/3 and pays 2 with probability 1/3, so
+# an honest round is worth nothing to either side before checking.
+WIN_PAYOUT = 1.0
+LOSE_PAYOUT = 2.0
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Game parameters. Payouts satisfy the fair-odds relation
-    lose_payout = p / (1 - p) with p the optimal discrimination rate 2/3.
+    """Game parameters: the checking rate r, the penalty R, the channel
+    noise and the abort monitor. The round stakes are fixed (WIN_PAYOUT,
+    LOSE_PAYOUT).
 
     abort_threshold None disables the accusation monitor (the default, so
     long cheating-strategy simulations run to completion); set it to the
@@ -97,9 +105,6 @@ class ProtocolParams:
 
     r: float
     R: float
-    p: float = 2.0 / 3.0
-    win_payout: float = 1.0
-    lose_payout: float = 2.0
     noise_lambda: float = 0.0
     abort_threshold: Optional[float] = None
     abort_min_checks: int = 1
@@ -109,14 +114,6 @@ class ProtocolParams:
             raise ValueError(f"checking rate must lie in [0, 1), got {self.r!r}")
         if not 0.0 < self.R < math.inf:
             raise ValueError(f"penalty must be positive and finite, got {self.R!r}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"success probability must lie in (0, 1), got {self.p!r}")
-        if not self.win_payout > 0.0:
-            raise ValueError(f"win payout must be positive, got {self.win_payout!r}")
-        fair = self.p / (1.0 - self.p)
-        if abs(self.lose_payout - fair) > 1e-9:
-            raise ValueError(
-                f"lose payout must equal p/(1-p) = {fair!r}, got {self.lose_payout!r}")
         if not 0.0 <= self.noise_lambda <= 1.0:
             raise ValueError(f"noise strength must lie in [0, 1], got {self.noise_lambda!r}")
         if self.abort_threshold is not None and not 0.0 <= self.abort_threshold <= 1.0:
@@ -149,8 +146,8 @@ def settle(kind: RoundKind, verdict: Verdict, check: Optional[CheckResult],
             raise ValueError("accusation outside a checking round")
         return (-params.R, params.R)
     if verdict.result is RoundResult.BOB_WON:
-        return (-params.win_payout, params.win_payout)
-    return (params.lose_payout, -params.lose_payout)
+        return (-WIN_PAYOUT, WIN_PAYOUT)
+    return (LOSE_PAYOUT, -LOSE_PAYOUT)
 
 
 def received_state(wire, noise_lambda: float):

@@ -9,18 +9,16 @@ Every random choice of a round is described once, as a branch table that
 the sampler and the exact oracle both read: outcome_bounds for a POVM's
 outcomes, local_measure_branches and remote_povm_branches for either
 party's measurement of a pair, and check_fail_probability for the claim
-check. A draw over such a table is one uniform bisected into its bounds
-(sample_outcome); the engines compute the bounds once per run and bisect
-them themselves. Every draw goes through the single method
-``rng.random()``, so that any object exposing it (stdlib
-``random.Random``, a numpy ``Generator``, or a deterministic stub) can
-drive it. The helpers are pure functions of immutable values and keep
-nothing on them.
+check. A draw over such a table is one uniform bisected into its bounds;
+the engines compute the bounds once per run and bisect them themselves.
+Every draw goes through the single method ``rng.random()``, so that any
+object exposing it (stdlib ``random.Random``, a numpy ``Generator``, or
+a deterministic stub) can drive it. The helpers are pure functions of
+immutable values and keep nothing on them.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,11 +32,6 @@ LABELS = ("a", "b", "c")
 LABEL_INDEX = MappingProxyType({"a": 0, "b": 1, "c": 2})
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
-
-
-def uniform_label(rng) -> str:
-    """One of the three trine labels, uniformly. rng.random() < 1 always."""
-    return LABELS[int(rng.random() * 3.0)]
 
 
 @dataclass(frozen=True)
@@ -258,7 +251,7 @@ class Povm:
             total += m
         if len(elems) != len(self.labels):
             raise ValueError("one label per POVM element required")
-        if not np.allclose(total, np.eye(2), atol=ATOL):
+        if not np.allclose(total, np.eye(2), rtol=0.0, atol=ATOL):
             raise ValueError("POVM elements must sum to the identity")
         if self.pure_components is not None:
             comps = tuple(self.pure_components)
@@ -269,7 +262,7 @@ class Povm:
                     raise ValueError("rank-one weights must be nonnegative")
                 proj = np.array([[s.a0 * s.a0.conjugate(), s.a0 * s.a1.conjugate()],
                                  [s.a1 * s.a0.conjugate(), s.a1 * s.a1.conjugate()]])
-                if not np.allclose(w * proj, m, atol=1e-8):
+                if not np.allclose(w * proj, m, rtol=0.0, atol=1e-8):
                     raise ValueError("pure_components inconsistent with elements")
             object.__setattr__(self, "pure_components", comps)
         object.__setattr__(self, "elements", tuple(elems))
@@ -318,13 +311,6 @@ def born_probabilities(state, povm: Povm) -> tuple:
     else:
         raise TypeError(f"expected PureState or DensityOperator, got {type(state).__name__}")
     return tuple(probs)
-
-
-def sample_outcome(probs, rng) -> int:
-    """Sample an index from a probability vector: the number of
-    outcome_bounds at or below one uniform draw. Any rounding residue lands
-    on the last index, zero-probability entries never fire."""
-    return bisect.bisect_right(outcome_bounds(probs), rng.random())
 
 
 def outcome_bounds(probs) -> tuple:

@@ -79,7 +79,6 @@ _HONEST_PREPS = tuple(
 class HonestAlice:
     """Uniform trine preparation, truthful claim."""
 
-    kind: ClassVar[str] = "honest"
     preparations: ClassVar[tuple] = tuple((1.0 / 3.0, prep) for prep in _HONEST_PREPS)
 
     def prepare(self, rng) -> Preparation:
@@ -98,8 +97,6 @@ class FixedStateCheat:
 
     state: PureState
     claim: str = "a"
-
-    kind: ClassVar[str] = "fixed"
 
     def __post_init__(self):
         if self.claim not in LABEL_INDEX:
@@ -129,8 +126,6 @@ class MixtureCheat:
     """Classical mixture of (probability, state, claim) components."""
 
     components: tuple
-
-    kind: ClassVar[str] = "mixture"
 
     def __post_init__(self):
         comps = tuple((float(p), s, c) for p, s, c in self.components)
@@ -194,8 +189,6 @@ class EntangledAlice:
     psi: TwoQubitState
     basis_policy: dict
     claim_policy: dict
-
-    kind: ClassVar[str] = "entangled"
 
     def __post_init__(self):
         if set(self.basis_policy) != set(LABELS):

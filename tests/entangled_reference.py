@@ -26,9 +26,9 @@ from trinegamble.qubit import (
     check_fail_probability,
     local_measure_branches,
     remote_povm_branches,
-    sample_outcome,
-    uniform_label,
 )
+
+from separable_reference import sample_outcome, uniform_label
 
 
 def _outcome(p0, rng) -> int:

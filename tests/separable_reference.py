@@ -15,6 +15,7 @@ round makes montecarlo._scalar_sums play separable senders the old way, so
 the two can be compared row for row.
 """
 
+import bisect
 from typing import NamedTuple
 
 from trinegamble.protocol import (
@@ -28,12 +29,24 @@ from trinegamble.protocol import (
 )
 from trinegamble.qubit import (
     LABEL_INDEX,
+    LABELS,
     born_probabilities,
     check_fail_probability,
-    sample_outcome,
-    uniform_label,
+    outcome_bounds,
 )
 from trinegamble.strategies import FixedStateCheat, MixtureCheat
+
+
+def sample_outcome(probs, rng) -> int:
+    """Sample an index from a probability vector: the number of
+    outcome_bounds at or below one uniform draw. Any rounding residue lands
+    on the last index, zero-probability entries never fire."""
+    return bisect.bisect_right(outcome_bounds(probs), rng.random())
+
+
+def uniform_label(rng) -> str:
+    """One of the three trine labels, uniformly. rng.random() < 1 always."""
+    return LABELS[int(rng.random() * 3.0)]
 
 
 class SenderFault(Exception):

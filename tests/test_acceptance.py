@@ -19,7 +19,6 @@ from trinegamble.analytics import (
     optimal_cheat_angle,
     penalty_for_bias,
 )
-from trinegamble.cli import check_order_invariance, check_steering_identity
 from trinegamble.montecarlo import SimConfig, compare_stats, enumerate_exact, simulate
 from trinegamble.protocol import ProtocolParams
 from trinegamble.qubit import TwoQubitState, born_probabilities, optimal_povm, trine_states
@@ -32,6 +31,7 @@ from trinegamble.strategies import (
     posterior_unmeasured,
     random_entangled_policy,
 )
+from trinegamble.verify import check_order_invariance, check_steering_identity
 
 from conftest import four_sigma
 

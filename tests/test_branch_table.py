@@ -30,7 +30,14 @@ from trinegamble.montecarlo import (
     _table_branches,
     simulate,
 )
-from trinegamble.protocol import CheckResult, ProtocolParams, RoundKind, transcript_line
+from trinegamble.protocol import (
+    LOSE_PAYOUT,
+    WIN_PAYOUT,
+    CheckResult,
+    ProtocolParams,
+    RoundKind,
+    transcript_line,
+)
 from trinegamble.qubit import LABELS, Povm, PureState, TwoQubitState, trine_states
 from trinegamble.strategies import (
     BobStrategy,
@@ -49,13 +56,13 @@ from conftest import closed_form_attack, random_pure
 
 TRINE = trine_states()
 BOBS = {"honest": BobStrategy.honest_optimal(), "blind": BobStrategy.random_guess()}
-# the showcase point, one whose payoffs are not whole numbers, so that the
-# order in which they are added shows in the sums, and one with no checking
-# rounds at all
+# the showcase point, one whose penalty is not a whole number, so that the
+# order in which payoffs are added shows in the sums, and one with no
+# checking rounds at all
 PARAMS = {
     0.0: ProtocolParams(r=0.0, R=398.0),
     0.05: ProtocolParams(r=0.05, R=398.0),
-    0.5: ProtocolParams(r=0.5, R=77.7, p=0.7, lose_payout=0.7 / 0.3),
+    0.5: ProtocolParams(r=0.5, R=77.7),
 }
 BIG_SEED = 2 ** 63 + 2 ** 40 + 29
 
@@ -453,7 +460,7 @@ def _separable_density_rows(alice, bob, params):
         rho = (1.0 - lam) * _projector(prep.wire) + lam * np.eye(2) / 2.0
         passed = np.trace(_projector(TRINE[prep.claim]) @ rho).real
         for k, g in enumerate(LABELS):
-            stake = -params.win_payout if g == prep.claim else params.lose_payout
+            stake = -WIN_PAYOUT if g == prep.claim else LOSE_PAYOUT
             seen = 1.0 / 3.0 if povm is None else np.trace(povm.elements[k] @ rho).real
             rows[f"{prep.descriptor}|normal|guess={g}"] = (pc * (1.0 - r) * seen, stake)
             rows[f"{prep.descriptor}|checking|guess={g}|pass"] = (pc * r / 3.0 * passed, stake)
@@ -476,9 +483,7 @@ def test_every_separable_row_matches_the_density_matrix(bob):
     # from outside: each row's probability and payoff, and its transcript
     rng = np.random.default_rng(2027)
     for _ in range(50):
-        p = float(rng.uniform(0.5, 0.9))
         params = ProtocolParams(r=float(rng.uniform(0.0, 0.9)), R=float(rng.uniform(1.0, 500.0)),
-                                p=p, lose_payout=p / (1.0 - p),
                                 noise_lambda=float(rng.uniform(0.0, 1.0)))
         for alice in _random_separable_senders(rng):
             table = _separable_table(alice, BOBS[bob], params)

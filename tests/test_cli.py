@@ -18,11 +18,10 @@ from trinegamble.cli import (
     SIM_COLUMNS,
     SWEEP_R_COLUMNS,
     SWEEP_THETA_COLUMNS,
-    check_povm_completeness,
-    check_povm_positivity,
     main,
 )
 from trinegamble.montecarlo import SimResult
+from trinegamble.verify import check_povm_completeness, check_povm_positivity
 
 
 def _run(capsys, argv):
@@ -89,10 +88,16 @@ def test_simulate_deterministic_stdout(capsys):
     assert out1 == out2
 
 
-def test_effective_config_line_reproduces_the_run(capsys):
-    code, out1, err1 = _run(capsys, [
-        "simulate", "--alice", "fixed:theta_a=1.0,claim=b", "--rounds", "500",
-        "--seed", "9"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alice", "fixed:theta_a=1.0,claim=b", "--rounds", "500", "--seed", "9"],
+    ["analytic", "--theta-a", "1.0", "--rate-r", "0.1"],
+    ["sweep-theta", "--points", "3", "--rounds", "300", "--seed", "4"],
+    ["sweep-theta", "--theta-list", "0.5,1", "--rounds", "300", "--penalty-R", "98"],
+    ["sweep-r", "--r-list", "0.1,0.05", "--rounds", "300", "--seed", "4"],
+    ["verify", "--trials", "5", "--grid-points", "4", "--seed", "2"],
+], ids=["simulate", "analytic", "sweep-theta-points", "sweep-theta-list", "sweep-r", "verify"])
+def test_effective_config_line_reproduces_the_run(capsys, argv):
+    code, out1, err1 = _run(capsys, argv)
     assert code == 0
     line = next(l for l in err1.splitlines() if l.startswith("# trinegamble "))
     tokens = shlex.split(line[len("# trinegamble "):])
@@ -100,6 +105,35 @@ def test_effective_config_line_reproduces_the_run(capsys):
     assert code2 == 0
     assert out2 == out1
     assert next(l for l in err2.splitlines() if l.startswith("# ")) == line
+
+
+ECHO_LINES = [
+    (["simulate", "--rounds", "10", "--seed", "3", "--noise", "0.1", "--abort-threshold", "0.5",
+      "--workers", "2", "--bob", "random"],
+     "simulate --alice=honest --bob=random --rounds=10 --seed=3 --rate-r=0.05 --penalty-R=398.0 "
+     "--noise=0.1 --abort-threshold=0.5 --abort-min-checks=1 --workers=2 --transcript= "
+     "--format=csv --output=-"),
+    (["analytic", "--theta-a", "1", "--format", "jsonl"],
+     "analytic --theta-a=1.0 --rate-r=0.05 --penalty-R=398.0 --format=jsonl --output=-"),
+    (["sweep-theta", "--theta-list", "0.5,1", "--rounds", "10", "--seed", "7", "--rate-r", "0.1"],
+     "sweep-theta --rate-r=0.1 --penalty-R=398.0 --points=2 --theta-list=0.5,1.0 --rounds=10 "
+     "--seed=7 --workers=1 --format=csv --output=-"),
+    (["sweep-r", "--r-list", "0.1,0.05", "--k", "10", "--rounds", "10"],
+     "sweep-r --r-list=0.1,0.05 --k=10.0 --rounds=10 --seed=12 --workers=1 --format=csv "
+     "--output=-"),
+    (["verify", "--trials", "3", "--grid-points", "2", "--seed", "1"],
+     "verify --seed=1 --trials=3 --grid-points=2"),
+]
+
+
+@pytest.mark.parametrize("argv, line", ECHO_LINES, ids=[argv[0] for argv, _ in ECHO_LINES])
+def test_effective_config_line_is_pinned(monkeypatch, capsys, argv, line):
+    # every flag of the command in --help order, the seed resolved (here
+    # from the environment for sweep-r)
+    monkeypatch.setenv(ENV_SEED, "12")
+    code, _, err = _run(capsys, argv)
+    assert code == 0
+    assert err.splitlines()[0] == f"# trinegamble {line}"
 
 
 def test_transcript_stream(tmp_path, capsys):
@@ -154,6 +188,9 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv(ENV_SEED, "not-a-number")
     code, _, err = _run(capsys, ["simulate", "--rounds", "10"])
     assert code == 1 and ENV_SEED in err
+    monkeypatch.setenv(ENV_SEED, "-1")
+    code, _, err = _run(capsys, ["simulate", "--rounds", "10"])
+    assert code == 1 and err.splitlines()[-1] == "error: --seed must lie in [0, 2**64), got -1"
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +228,7 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     ["simulate", "--alice", "fixed:theta_a=0.5,claim=a,claim=b", "--rounds", "10"],
     ["simulate", "--alice", "entangled:random:-1", "--rounds", "10"],
     ["verify", "--seed", "-1"],
+    ["simulate", "--rounds", "10", "--seed", "-1"],
 ])
 def test_usage_and_validation_errors(capsys, argv):
     code, _, err = _run(capsys, argv)
@@ -204,8 +242,9 @@ def test_usage_and_validation_errors(capsys, argv):
         assert "repeated fixed parameter 'claim'" in err
     if "entangled:random:-1" in argv:
         assert "entangled:random" in err and "'-1'" in err
-    if argv[:1] == ["verify"] and "--seed" in argv:
-        assert "error: --seed must be nonnegative, got -1" in err
+    if argv[-2:] == ["--seed", "-1"]:
+        want = {"verify": "must be nonnegative", "simulate": "must lie in [0, 2**64)"}[argv[0]]
+        assert f"error: --seed {want}, got -1" in err
 
 
 @pytest.mark.parametrize("flag", ["--transcript", "--output"])

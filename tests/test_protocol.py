@@ -4,6 +4,7 @@ Statistical assertions use 4-sigma binomial bars on seeded streams, so
 they are deterministic in practice; everything else is exact.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -12,6 +13,8 @@ import pytest
 
 from trinegamble.montecarlo import round_player
 from trinegamble.protocol import (
+    LOSE_PAYOUT,
+    WIN_PAYOUT,
     CheckResult,
     MonitorDecision,
     ProtocolParams,
@@ -110,20 +113,13 @@ def test_verdict_requires_trine_claim():
 
 
 def test_params_accept_fair_defaults():
-    p = ProtocolParams(r=0.05, R=398.0)
-    assert p.p == 2.0 / 3.0 and p.lose_payout == 2.0
-
-
-def test_params_accept_consistent_custom_odds():
-    p = ProtocolParams(r=0.05, R=10.0, p=0.75, lose_payout=3.0)
-    assert p.lose_payout == 3.0
-
-
-def test_params_reject_unfair_odds():
-    with pytest.raises(ValueError):
-        ProtocolParams(r=0.05, R=10.0, lose_payout=2.5)
-    with pytest.raises(ValueError):
-        ProtocolParams(r=0.05, R=10.0, p=0.75)  # default lose_payout 2 != 3
+    # the stakes are fixed at fair odds for the 2/3 success rate: no
+    # parameter set can move them off the closed forms
+    assert (2.0 / 3.0) * WIN_PAYOUT == (1.0 / 3.0) * LOSE_PAYOUT
+    assert [f.name for f in dataclasses.fields(ProtocolParams)] == [
+        "r", "R", "noise_lambda", "abort_threshold", "abort_min_checks"]
+    with pytest.raises(TypeError):
+        ProtocolParams(r=0.05, R=398.0, win_payout=5.0)
 
 
 def test_params_domain_checks():
@@ -142,8 +138,6 @@ def test_params_domain_checks():
         ProtocolParams(r=0.1, R=10.0, abort_threshold=-0.2)
     with pytest.raises(ValueError):
         ProtocolParams(r=0.1, R=10.0, abort_min_checks=0)
-    with pytest.raises(ValueError):
-        ProtocolParams(r=0.1, R=10.0, win_payout=0.0)
 
 
 # ---------------------------------------------------------------------------

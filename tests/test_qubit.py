@@ -6,14 +6,12 @@ independent numpy kron oracle where the package uses staged scalar math.
 """
 
 import math
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from trinegamble.qubit import (
-    ATOL,
     LABELS,
     BlochVector,
     DensityOperator,
@@ -29,10 +27,8 @@ from trinegamble.qubit import (
     partial_trace,
     outcome_bounds,
     remote_povm_branches,
-    sample_outcome,
     state_from_bloch,
     trine_states,
-    uniform_label,
 )
 from trinegamble.montecarlo import _NORMAL, _entangled_table, _round_rows, _table_branches
 from trinegamble.protocol import ProtocolParams
@@ -206,101 +202,16 @@ def test_povm_constructor_rejects_incomplete_elements():
         Povm((half, half), ("a", "b"), None)
 
 
-# ---------------------------------------------------------------------------
-# sampling
-
-
-def test_sample_outcome_degenerate_and_deterministic():
-    r = random.Random(5)
-    assert all(sample_outcome((1.0, 0.0, 0.0), r) == 0 for _ in range(50))
-    r1, r2 = random.Random(9), random.Random(9)
-    seq1 = [sample_outcome((0.3, 0.3, 0.4), r1) for _ in range(200)]
-    seq2 = [sample_outcome((0.3, 0.3, 0.4), r2) for _ in range(200)]
-    assert seq1 == seq2
-
-
-def test_sample_outcome_zero_probability_entries_never_fire():
-    r = random.Random(17)
-    assert all(sample_outcome((0.0, 1.0, 0.0), r) == 1 for _ in range(2000))
-    draws = [sample_outcome((0.5, 0.5, 0.0), r) for _ in range(5000)]
-    assert 2 not in draws
-
-
-def test_sample_outcome_frequencies_match_born_weights():
-    probs = (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
-    n = 1_000_000
-    r = random.Random(123)
-    counts = [0, 0, 0]
-    for _ in range(n):
-        counts[sample_outcome(probs, r)] += 1
-    for k in range(3):
-        assert abs(counts[k] / n - probs[k]) < four_sigma(probs[k], n)
-
-
-def test_sample_outcome_validates_input():
-    r = random.Random(0)
-    with pytest.raises(ValueError):
-        sample_outcome((0.5, 0.4), r)
-    with pytest.raises(ValueError):
-        sample_outcome((-0.2, 1.2), r)
-    with pytest.raises(ValueError):
-        sample_outcome((float("nan"), 1.0), r)
-
-
-class _Uniform:
-    """An rng whose every draw is the one given value."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def _cumulative_draw(probs, u):
-    """The cumulative loop sample_outcome used to run itself: the first
-    positive entry whose running total exceeds u, else the last index."""
-    acc = 0.0
-    for k in range(len(probs) - 1):
-        if probs[k] > 0.0:
-            acc += probs[k]
-            if u < acc:
-                return k
-    return len(probs) - 1
-
-
-def test_sample_outcome_matches_the_cumulative_loop():
-    rng = np.random.default_rng(8)
-    vectors = [(0.3, 0.3, 0.4), (0.0, 1.0, 0.0), (0.5, 0.0, 0.5), (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)]
-    for _ in range(300):
-        p = rng.random(int(rng.integers(2, 6)))
-        p[rng.random(len(p)) < 0.3] = 0.0
-        if p.sum() == 0.0:
-            p[-1] = 1.0
-        # leave rounding residue within the tolerance on either side of 1
-        p *= (1.0 + float(rng.uniform(-0.9, 0.9)) * ATOL) / p.sum()
-        vectors.append(tuple(float(x) for x in p))
-    for probs in vectors:
-        bounds = outcome_bounds(probs)
-        assert len(bounds) == len(probs) - 1
-        edges = [b for b in bounds if b > 0.0]
-        for u in (0.0, 0.1, 0.5, 2.0 / 3.0, 0.99, 1.0 - 2.0 ** -53, *rng.random(20),
-                  *edges, *np.nextafter(edges, 0.0)):
-            u = float(u)
-            if u < 1.0:
-                assert sample_outcome(probs, _Uniform(u)) == _cumulative_draw(probs, u)
-    with pytest.raises(ValueError):
-        outcome_bounds((0.5, float("nan"), 0.5))
-
-
-def test_uniform_label_spread():
-    r = random.Random(31)
-    n = 60_000
-    counts = {lab: 0 for lab in LABELS}
-    for _ in range(n):
-        counts[uniform_label(r)] += 1
-    for lab in LABELS:
-        assert abs(counts[lab] / n - 1 / 3) < four_sigma(1 / 3, n)
+def test_povm_completeness_tolerance_is_absolute():
+    # numpy's default relative tolerance (1e-5) would let trine weights 5e-6
+    # too heavy through, to fail later as probabilities that do not sum to 1
+    heavy = tuple(((2.0 / 3.0) * (1.0 + 5e-6), trine_states()[lab]) for lab in LABELS)
+    with pytest.raises(ValueError, match="sum to the identity"):
+        Povm.from_pure_states(heavy, LABELS)
+    # an overshoot just under the 1e-9 tolerance, as test_branch_table's
+    # _SlackBob builds it, is still accepted
+    slack = tuple(((2.0 / 3.0) * (1.0 + 0.9e-9), trine_states()[lab]) for lab in LABELS)
+    assert Povm.from_pure_states(slack, LABELS).labels == LABELS
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,15 @@ monitor on the same row.
 
 import dataclasses
 import functools
+import random
 
+import numpy as np
 import pytest
 
 from trinegamble import montecarlo
 from trinegamble.montecarlo import _scalar_sums
 from trinegamble.protocol import CheckResult, ProtocolParams, transcript_line
-from trinegamble.qubit import trine_states
+from trinegamble.qubit import ATOL, LABELS, outcome_bounds, trine_states
 from trinegamble.strategies import (
     BobStrategy,
     FixedStateCheat,
@@ -31,6 +33,8 @@ from trinegamble.strategies import (
 )
 
 import separable_reference
+from conftest import four_sigma
+from separable_reference import sample_outcome, uniform_label
 
 TRINE = trine_states()
 SENDERS = {
@@ -42,12 +46,12 @@ SENDERS = {
                                     (0.25, TRINE["b"], "b"))),
 }
 BOBS = {"honest": BobStrategy.honest_optimal(), "blind": BobStrategy.random_guess()}
-# no checking rounds, the showcase point, and one whose payoffs are not
-# whole numbers, so that the order in which they are added shows in the sums
+# no checking rounds, the showcase point, and one whose penalty is not a
+# whole number, so that the order in which payoffs are added shows in the sums
 RATES = {
     0.0: ProtocolParams(r=0.0, R=398.0),
     0.05: ProtocolParams(r=0.05, R=398.0),
-    0.5: ProtocolParams(r=0.5, R=77.7, p=0.7, lose_payout=0.7 / 0.3),
+    0.5: ProtocolParams(r=0.5, R=77.7),
 }
 NOISES = (0.0, 0.1)
 SHORT = (5, 0, 3)
@@ -146,3 +150,100 @@ def test_the_grid_trips_and_holds():
     far = _play(SENDERS["fixed-far"], BOBS["honest"], params, *OFFSET)[0]
     assert not honest[7] and honest[6] > 0 and honest[0] == OFFSET[2]
     assert far[7] and far[5] >= 20 and far[0] < OFFSET[2]
+
+
+# ---------------------------------------------------------------------------
+# the reference round's sampling helpers
+
+
+def test_sample_outcome_degenerate_and_deterministic():
+    r = random.Random(5)
+    assert all(sample_outcome((1.0, 0.0, 0.0), r) == 0 for _ in range(50))
+    r1, r2 = random.Random(9), random.Random(9)
+    seq1 = [sample_outcome((0.3, 0.3, 0.4), r1) for _ in range(200)]
+    seq2 = [sample_outcome((0.3, 0.3, 0.4), r2) for _ in range(200)]
+    assert seq1 == seq2
+
+
+def test_sample_outcome_zero_probability_entries_never_fire():
+    r = random.Random(17)
+    assert all(sample_outcome((0.0, 1.0, 0.0), r) == 1 for _ in range(2000))
+    draws = [sample_outcome((0.5, 0.5, 0.0), r) for _ in range(5000)]
+    assert 2 not in draws
+
+
+def test_sample_outcome_frequencies_match_born_weights():
+    probs = (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
+    n = 1_000_000
+    r = random.Random(123)
+    counts = [0, 0, 0]
+    for _ in range(n):
+        counts[sample_outcome(probs, r)] += 1
+    for k in range(3):
+        assert abs(counts[k] / n - probs[k]) < four_sigma(probs[k], n)
+
+
+def test_sample_outcome_validates_input():
+    r = random.Random(0)
+    with pytest.raises(ValueError):
+        sample_outcome((0.5, 0.4), r)
+    with pytest.raises(ValueError):
+        sample_outcome((-0.2, 1.2), r)
+    with pytest.raises(ValueError):
+        sample_outcome((float("nan"), 1.0), r)
+
+
+class _Uniform:
+    """An rng whose every draw is the one given value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _cumulative_draw(probs, u):
+    """The cumulative loop sample_outcome used to run itself: the first
+    positive entry whose running total exceeds u, else the last index."""
+    acc = 0.0
+    for k in range(len(probs) - 1):
+        if probs[k] > 0.0:
+            acc += probs[k]
+            if u < acc:
+                return k
+    return len(probs) - 1
+
+
+def test_sample_outcome_matches_the_cumulative_loop():
+    rng = np.random.default_rng(8)
+    vectors = [(0.3, 0.3, 0.4), (0.0, 1.0, 0.0), (0.5, 0.0, 0.5), (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)]
+    for _ in range(300):
+        p = rng.random(int(rng.integers(2, 6)))
+        p[rng.random(len(p)) < 0.3] = 0.0
+        if p.sum() == 0.0:
+            p[-1] = 1.0
+        # leave rounding residue within the tolerance on either side of 1
+        p *= (1.0 + float(rng.uniform(-0.9, 0.9)) * ATOL) / p.sum()
+        vectors.append(tuple(float(x) for x in p))
+    for probs in vectors:
+        bounds = outcome_bounds(probs)
+        assert len(bounds) == len(probs) - 1
+        edges = [b for b in bounds if b > 0.0]
+        for u in (0.0, 0.1, 0.5, 2.0 / 3.0, 0.99, 1.0 - 2.0 ** -53, *rng.random(20),
+                  *edges, *np.nextafter(edges, 0.0)):
+            u = float(u)
+            if u < 1.0:
+                assert sample_outcome(probs, _Uniform(u)) == _cumulative_draw(probs, u)
+    with pytest.raises(ValueError):
+        outcome_bounds((0.5, float("nan"), 0.5))
+
+
+def test_uniform_label_spread():
+    r = random.Random(31)
+    n = 60_000
+    counts = {lab: 0 for lab in LABELS}
+    for _ in range(n):
+        counts[uniform_label(r)] += 1
+    for lab in LABELS:
+        assert abs(counts[lab] / n - 1 / 3) < four_sigma(1 / 3, n)
