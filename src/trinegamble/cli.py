@@ -19,6 +19,11 @@ The fully resolved configuration is echoed to stderr as a single
 the command in ``--help`` order, so any run can be reproduced by copying
 that line. ``--seed`` falls back to the TRINEGAMBLE_SEED environment
 variable, then to 0.
+
+build_parser is built once per process and every main call reuses it;
+parsing keeps no state on it. Each subcommand's handler is bound when it
+is built, so a test that patches ``cli.cmd_*`` is not seen by the shared
+parser: patch what the handler calls, such as ``cli.simulate``, instead.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -190,17 +196,19 @@ def cmd_simulate(args) -> int:
     paths = (args.output, args.transcript) if args.transcript else (args.output,)
     with _output_streams(*paths) as streams:
         if args.transcript:
-            sink_file = streams[1]
+            write = streams[1].write
             # both engines hand out one prebuilt transcript object per
-            # leaf: render each object's line once, keyed on its id (the
-            # entry holds the object, so the id cannot be reused)
-            lines = {}
+            # leaf: render each object's line once, keyed on its id (held
+            # keeps every rendered object, so no id is reused)
+            lines, held = {}, []
 
-            def sink(t):
-                entry = lines.get(id(t))
-                if entry is None:
-                    entry = lines[id(t)] = (t, transcript_line(t) + "\n")
-                sink_file.write(entry[1])
+            def line_of(t):
+                held.append(t)
+                line = lines[id(t)] = transcript_line(t) + "\n"
+                return line
+
+            def sink(chunk):
+                write("".join([lines.get(id(t)) or line_of(t) for t in chunk]))
 
             result = simulate(config, transcript_sink=sink)
         else:
@@ -302,6 +310,7 @@ def cmd_verify(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="trinegamble", description="Quantum gambling on trine states.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -35,15 +35,16 @@ strictly left to right, so the totals are bit-identical to playing the
 rows one at a time (tests/entangled_reference.py). Each row does only the
 work of its own round kind: at r = 0.05 that took the benchmark's
 entangled-scan workload from 3.65M to 5.82M rounds/s (BENCH_8.json).
-With a transcript sink or the abort monitor, a chunk's checking rows go
-through abort_monitor in order, the chunk ends at the tripping row, and
-the sink gets each row's prebuilt transcript.
+With the abort monitor on, a chunk's checking rows go through
+abort_monitor in order and the chunk ends at the tripping row.
 
 Both engines read the receiver only through measurement_povm(), keep
 their table to themselves for the block, and hand out one prebuilt
 transcript object per row, so the CLI renders each object's line once.
 The scalar loop reads _SCALAR_CHUNK rows at a time, the table _CHUNK
-rows.
+rows. A transcript sink is called once per chunk, with the list of that
+chunk's transcripts in round order; the list ends at the round that trips
+the monitor, or before the round that raises.
 
 Abort monitoring and transcript streaming are sequential (the monitor
 reads the running counts in round order), so those runs play in one
@@ -261,9 +262,12 @@ def _scalar_sums(alice, bob, params, seed, start, count, sink=None):
     """_block_sums through round_player, compiled once for the block and
     played one round at a time.
 
-    Every round goes to sink, when given, before the abort monitor looks at
-    it, so the round that trips the monitor is still written; rounds is
-    short of count only when the monitor tripped.
+    With a sink, each chunk's transcripts are collected in a list, in round
+    order, and handed to sink in one call when the chunk ends: at its last
+    row, at the round that trips the abort monitor (so that round is still
+    written) or, before the error propagates, at a round that raises. A
+    chunk that played no round is not handed on. rounds is short of count
+    only when the monitor tripped.
     """
     play = round_player(alice, bob, params)
     rng = _RoundRng()
@@ -280,27 +284,33 @@ def _scalar_sums(alice, bob, params, seed, start, count, sink=None):
     while done < count and not aborted:
         n = min(_SCALAR_CHUNK, count - done)
         rows = _round_rows(seed, start + done, n).tolist()
-        for row in rows:
-            rng.row = row
-            rng.pos = 0
-            t = play(rng)
-            kind, _, _, verdict, check, a_delta, _ = t
-            s1 += a_delta
-            s2 += a_delta * a_delta
-            if verdict.result is bob_won:
-                wins += 1
-            else:
-                losses += 1
-            if kind is checking:
-                checks += 1
-                if check is accuse:
-                    accs += 1
-            if sink is not None:
-                sink(t)
-            if monitor_on and kind is checking:
-                if abort_monitor(checks, accs, params) is abort:
-                    aborted = True
-                    break
+        played = []
+        keep = played.append
+        try:
+            for row in rows:
+                rng.row = row
+                rng.pos = 0
+                t = play(rng)
+                kind, _, _, verdict, check, a_delta, _ = t
+                s1 += a_delta
+                s2 += a_delta * a_delta
+                if verdict.result is bob_won:
+                    wins += 1
+                else:
+                    losses += 1
+                if kind is checking:
+                    checks += 1
+                    if check is accuse:
+                        accs += 1
+                if sink is not None:
+                    keep(t)
+                if monitor_on and kind is checking:
+                    if abort_monitor(checks, accs, params) is abort:
+                        aborted = True
+                        break
+        finally:
+            if played:
+                sink(played)
         done += n
     return wins + losses, s1, s2, wins, losses, checks, accs, aborted
 
@@ -477,10 +487,11 @@ def _table_sums(t: _BranchTable, seed, start, count, sink=None, params=None):
     """_block_sums from a branch table, one chunk of rows at a time.
 
     With params whose abort monitor is on, a chunk ends at the row that
-    trips it. sink, when given, then receives each row's transcript in
-    order, so the tripping row is written. A row on a faulty branch raises
-    after every row before it was written, unless the monitor tripped
-    first.
+    trips it. sink, when given, then receives the transcripts of the
+    chunk's rows as one list, in row order, so the tripping row is written.
+    A row on a faulty branch raises after every row before it was handed
+    on, unless the monitor tripped first. A chunk that played no row is not
+    handed on.
     """
     s1 = s2 = 0.0
     counts = np.zeros(len(t.delta), dtype=np.int64)
@@ -504,9 +515,8 @@ def _table_sums(t: _BranchTable, seed, start, count, sink=None, params=None):
                 branch = branch[:trip + 1]
                 aborted = True
                 fault = None
-        if sink is not None:
-            for row in branch.tolist():
-                sink(t.transcripts[row])
+        if sink is not None and len(branch):
+            sink(list(map(t.transcripts.__getitem__, branch.tolist())))
         if fault is not None:
             kind, message = fault
             raise kind(message)
@@ -542,6 +552,14 @@ def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
     configs give bit-identical results. With the abort monitor enabled the
     run stops at the first tripping round and reports the partial totals
     with aborted = True.
+
+    transcript_sink, when given, is called once per chunk of rounds played
+    (at most _SCALAR_CHUNK rounds for a separable sender, _CHUNK for an
+    entangled one) with a list of that chunk's RoundTranscripts in round
+    order, never an empty one. The lists, joined, are every round of the
+    run: the last item is the round that tripped the monitor, if it
+    tripped; a round that raises is not in them, and every round before it
+    is. Equal transcripts are the same object.
     """
     params = config.params
     workers = min(config.workers, config.rounds)

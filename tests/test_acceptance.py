@@ -154,11 +154,12 @@ def test_criterion_07_posterior_floor():
                       abs(posterior_unmeasured(tiny, False) / (2.0 * tiny) - 1.0))
 
     counts = {"match": [0, 0], "mismatch": [0, 0]}  # [checking, total]
-    def tally(t):
-        key = "match" if t.guess == t.verdict.claimed else "mismatch"
-        counts[key][1] += 1
-        if t.kind.value == "checking":
-            counts[key][0] += 1
+    def tally(chunk):
+        for t in chunk:
+            key = "match" if t.guess == t.verdict.claimed else "mismatch"
+            counts[key][1] += 1
+            if t.kind.value == "checking":
+                counts[key][0] += 1
 
     _sim(HonestAlice(), 1_000_000, seed=107,
          params=ProtocolParams(r=0.1, R=398.0), sink=tally)

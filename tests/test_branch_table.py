@@ -105,10 +105,11 @@ def _play(play, alice, bob, params, seed, start, count):
     """A run's tuple and the transcript lines it wrote."""
     lines, rendered = [], {}
 
-    def sink(t):
-        if t not in rendered:
-            rendered[t] = transcript_line(t)
-        lines.append(rendered[t])
+    def sink(chunk):
+        for t in chunk:
+            if t not in rendered:
+                rendered[t] = transcript_line(t)
+            lines.append(rendered[t])
 
     sums = play(alice, bob, params, seed, start, count, sink)
     return sums, lines
@@ -218,7 +219,7 @@ def _transcript_branch(alice, t):
 
 def _rows_match(reference, alice, bob, params, seed, start, count):
     played = []
-    reference(alice, bob, params, seed, start, count, sink=played.append)
+    reference(alice, bob, params, seed, start, count, sink=played.extend)
     branch = _table_branches(_entangled_table(alice, bob, params),
                              montecarlo._round_rows(seed, start, count))
     assert branch.tolist() == [_transcript_branch(alice, t) for t in played]
@@ -276,7 +277,7 @@ def test_every_entangled_run_takes_the_table(monkeypatch):
     bob = BOBS["honest"]
     _block_sums(alice, bob, plain, 1, 0, 10)
     _block_sums(alice, BOBS["blind"], plain, 1, 0, 10)
-    _block_sums(alice, bob, plain, 1, 0, 10, sink=lambda t: None)
+    _block_sums(alice, bob, plain, 1, 0, 10, sink=lambda chunk: None)
     _block_sums(alice, bob, ProtocolParams(r=0.5, R=398.0, abort_threshold=0.9), 1, 0, 10)
     _block_sums(alice, bob, ProtocolParams(r=0.5, R=398.0, noise_lambda=0.1), 1, 0, 10)
     _block_sums(_Subclass(alice.psi, alice.basis_policy, alice.claim_policy), bob, plain, 1, 0, 10)
@@ -334,7 +335,7 @@ def _outcome(play, alice, params, count):
     lines = []
     try:
         sums = play(alice, BOBS["honest"], params, 1, 0, count,
-                    lambda t: lines.append(transcript_line(t)))
+                    lambda chunk: lines.extend(map(transcript_line, chunk)))
     except AssertionError as exc:
         sums = (type(exc), str(exc))
     return sums, lines

@@ -13,11 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trinegamble import cli
 from trinegamble.cli import (
     ENV_SEED,
     SIM_COLUMNS,
     SWEEP_R_COLUMNS,
     SWEEP_THETA_COLUMNS,
+    build_parser,
     main,
 )
 from trinegamble.montecarlo import SimResult
@@ -527,3 +529,40 @@ def test_module_invocation_end_to_end():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 6
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+# each argv as run in one process, in this order; the third is a usage error
+SHARED_PARSER_SEQUENCE = [
+    ["simulate", "--alice", "fixed:theta_a=2.5,claim=a", "--rounds", "3000", "--seed", "4",
+     "--noise", "0.1", "--rate-r", "0.3", "--abort-threshold", "0.2", "--abort-min-checks", "20",
+     "--transcript", "rounds.jsonl"],
+    ["sweep-theta", "--theta-list", "0.1,2.0", "--rounds", "500", "--seed", "2"],
+    ["simulate", "--rounds", "ten"],
+    ["simulate", "--rounds", "500"],
+    ["verify", "--trials", "1"],
+]
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_the_shared_parser_leaks_nothing_from_one_call_into_the_next(tmp_path, monkeypatch,
+                                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    shared = [_run(capsys, argv) for argv in SHARED_PARSER_SEQUENCE]
+    transcript = (tmp_path / "rounds.jsonl").read_bytes()
+    assert [code for code, _, _ in shared] == [3, 0, 1, 0, 0]
+    # the fresh processes import the package these tests import
+    env = {k: v for k, v in os.environ.items() if k != ENV_SEED}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, got in zip(SHARED_PARSER_SEQUENCE, shared):
+        proc = subprocess.run([sys.executable, "-m", "trinegamble", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert (tmp_path / "rounds.jsonl").read_bytes() == transcript

@@ -133,7 +133,7 @@ def test_blocks_run_on_at_most_one_process_per_cpu(monkeypatch):
 def test_transcript_sink_is_exhaustive_and_consistent():
     seen = []
     cfg = _config(HonestAlice(), 4_000, seed=13, workers=4)
-    res = simulate(cfg, transcript_sink=seen.append)
+    res = simulate(cfg, transcript_sink=seen.extend)
     assert len(seen) == res.rounds == 4_000
     assert sum(t.kind.value == "checking" for t in seen) == res.check_count
     assert res == simulate(_config(HonestAlice(), 4_000, seed=13))
@@ -389,11 +389,11 @@ def test_zero_angle_cheat_plays_like_conditioned_honest():
     cheat_deltas = []
     simulate(_config(FixedStateCheat.from_angle(0.0, "a"), 30_000, seed=43,
                      params=params),
-             transcript_sink=lambda t: cheat_deltas.append(t.alice_delta))
+             transcript_sink=lambda chunk: cheat_deltas.extend(t.alice_delta for t in chunk))
     honest_deltas = []
     simulate(_config(HonestAlice(), 30_000, seed=44, params=params),
-             transcript_sink=lambda t: honest_deltas.append(t.alice_delta)
-             if t.sent_descriptor == "trine:a" else None)
+             transcript_sink=lambda chunk: honest_deltas.extend(
+                 t.alice_delta for t in chunk if t.sent_descriptor == "trine:a"))
     assert len(honest_deltas) > 9_000
     _, p_value = ks_2samp(cheat_deltas, honest_deltas)
     assert p_value > 0.01
@@ -498,7 +498,7 @@ def test_monitor_trips_at_the_first_round_over_threshold():
     for seed in range(40, 46):
         transcripts = []
         result = simulate(_config(alice, 2_000, seed=seed, params=params),
-                          transcript_sink=transcripts.append)
+                          transcript_sink=transcripts.extend)
         checks = accs = 0
         trip = None
         for i, t in enumerate(transcripts, 1):
@@ -518,7 +518,7 @@ def test_driver_counts_every_verdict_once():
     transcripts = []
     result = simulate(_config(HonestAlice(), 3_000, seed=33,
                               params=ProtocolParams(r=0.3, R=398.0)),
-                      transcript_sink=transcripts.append)
+                      transcript_sink=transcripts.extend)
     counts = tally(transcripts)
     assert (result.rounds, result.win_count, result.lose_count) == counts[:3] == (3_000, counts.wins, 3_000 - counts.wins)
     assert (result.check_count, result.accuse_count) == (counts.checks, 0)
@@ -531,7 +531,7 @@ def test_driver_counts_the_verdict_of_an_accused_round():
     transcripts = []
     result = simulate(_config(FixedStateCheat(TRINE["b"], claim="a"), 2_000, seed=34,
                               params=ProtocolParams(r=0.5, R=398.0)),
-                      transcript_sink=transcripts.append)
+                      transcript_sink=transcripts.extend)
     accused = [t for t in transcripts if t.check is CheckResult.ACCUSE]
     assert {t.verdict.result for t in accused} == {RoundResult.BOB_WON, RoundResult.BOB_LOST}
     assert all(t.alice_delta == -398.0 for t in accused)

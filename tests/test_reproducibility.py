@@ -217,9 +217,9 @@ def test_a_run_hands_out_one_object_per_leaf_and_renders_each_once(tmp_path, mon
     real_simulate, real_line = cli.simulate, cli.transcript_line
 
     def simulate_watched(config, transcript_sink=None):
-        def sink(t):
-            handed.append(t)
-            transcript_sink(t)
+        def sink(chunk):
+            handed.extend(chunk)
+            transcript_sink(chunk)
         return real_simulate(config, transcript_sink=sink)
 
     def line(t):

@@ -71,7 +71,7 @@ def _params(r, noise, monitor=None):
 def _play(alice, bob, params, seed, start, count):
     """The scalar loop's tuple and the transcripts it wrote, on the lean round."""
     transcripts = []
-    sums = _scalar_sums(alice, bob, params, seed, start, count, transcripts.append)
+    sums = _scalar_sums(alice, bob, params, seed, start, count, transcripts.extend)
     return sums, transcripts
 
 

@@ -13,7 +13,9 @@ change's ``BENCHMARK.json`` unless ``--seconds`` is given.
 
 The result is written to ``BENCH_<N>.json`` (in the repository holding
 this script unless ``--out-dir`` says otherwise): every run's metrics,
-``correct``, ``attempted``, ``failed`` and passes; per workload and metric
+``correct``, ``attempted``, ``failed``, passes, and the report's
+``mismatches`` and ``failures``, so that a ``correct: false`` run can be
+matched by its message to a known false alarm; per workload and metric
 each side's median and quartiles, the change's wins and ties, the ratio of
 the medians and whether the change stays within the benchmark's bound;
 and a fingerprint of the machine (processor count, CPU model, Python and
@@ -82,7 +84,8 @@ def fingerprint() -> dict:
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run in checkout; its result line plus the
-    pass count and wall-clock throughput from its full report."""
+    pass count, wall-clock throughput, mismatch messages and failed calls
+    from its full report."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -100,6 +103,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "passes": detail["passes"],
         "wall_rounds_per_s": detail["wall_rounds_per_s"],
+        "mismatches": detail["mismatches"],
+        "failures": detail["failures"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 
@@ -173,8 +178,9 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run_once(sides[side], workload, seed, seconds)
                 r = pair[side]
+                first = f" first mismatch: {r['mismatches'][0]}" if r["mismatches"] else ""
                 print(f"{workload} seed {seed} {side}: {r['metrics']} passes {r['passes']} "
-                      f"correct {r['correct']} failed {r['failed']}/{r['attempted']}",
+                      f"correct {r['correct']} failed {r['failed']}/{r['attempted']}{first}",
                       file=sys.stderr, flush=True)
             pairs.append(pair)
         record["workloads"][workload] = {
