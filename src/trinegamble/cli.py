@@ -20,10 +20,11 @@ the command in ``--help`` order, so any run can be reproduced by copying
 that line. ``--seed`` falls back to the TRINEGAMBLE_SEED environment
 variable, then to 0.
 
-build_parser is built once per process and every main call reuses it;
-parsing keeps no state on it. Each subcommand's handler is bound when it
-is built, so a test that patches ``cli.cmd_*`` is not seen by the shared
-parser: patch what the handler calls, such as ``cli.simulate``, instead.
+build_parser builds the parser once per process, and every main call
+reuses it; parsing keeps no state on it. Each subcommand's handler is
+bound when the parser is built, so a test that patches ``cli.cmd_*`` is
+not seen by the shared parser: patch what the handler calls, such as
+``cli.simulate``, instead.
 """
 
 from __future__ import annotations
