@@ -59,6 +59,7 @@ import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -342,10 +343,39 @@ class _BranchTable(NamedTuple):
     won: np.ndarray  # the receiver's guess matched the claim
     accused: np.ndarray
     faults: tuple  # None, or the (exception type, message) a sampled branch raises
+    faulty: Optional[np.ndarray]  # whether each branch raises; None when none does
+
+
+# compiled tables kept; the least recently used is dropped first
+_TABLE_CACHE_SIZE = 64
 
 
 def _entangled_table(alice, bob, params) -> _BranchTable:
-    """Compile an EntangledAlice and a receiver into their branch table.
+    """The branch table of an EntangledAlice and a receiver, compiled once
+    per distinct key and shared by every later simulate and enumerate_exact.
+
+    The key holds the sender's values (psi and both policies, so a policy
+    edited between runs gets a fresh table), the receiver's POVM (the cache
+    holds it, so its identity is a safe key), params and the exact text of
+    params: a penalty of 398 compiles int payoffs where 398.0 compiles float
+    ones, and r = -0.0 signed zero weights, though both compare equal. The
+    states' amplitudes reach the rows only through squared magnitudes, so
+    their value is key enough.
+    """
+    basis = tuple((g, tuple(pair)) for g, pair in alice.basis_policy.items())
+    claims = tuple(alice.claim_policy.items())
+    return _cached_entangled_table(alice.psi, basis, claims, bob.measurement_povm(), params,
+                                   repr(params))
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _cached_entangled_table(psi, basis, claims, povm, params, params_text) -> _BranchTable:
+    return _compile_entangled_table(psi, dict(basis), dict(claims), povm, params)
+
+
+def _compile_entangled_table(psi, basis, claims, povm, params) -> _BranchTable:
+    """Compile an EntangledAlice's pair, basis and claim policies and a
+    receiver's POVM (None for a blind guess) into their branch table.
 
     The thresholds come from outcome_bounds on the receiver's POVM
     probabilities, the sender's odds on the pair (local_measure_branches)
@@ -358,7 +388,6 @@ def _entangled_table(alice, bob, params) -> _BranchTable:
     (an unnormalisable collapse, or POVM probabilities that do not sum to
     1) carries the error it raises.
     """
-    psi, basis, claims = alice.psi, alice.basis_policy, alice.claim_policy
     r, lam = params.r, params.noise_lambda
     exact_rows, transcripts, faults = [], [], []
 
@@ -386,7 +415,6 @@ def _entangled_table(alice, bob, params) -> _BranchTable:
                 pf = check_fail_probability(received_state(sent, lam), claim)
                 unmeasured.append((g, j, claim, split(p0)[j], pf, None))
 
-    povm = bob.measurement_povm()
     if povm is None:
         bounds = None
         p0_normal = p0_local
@@ -430,13 +458,22 @@ def _entangled_table(alice, bob, params) -> _BranchTable:
                g, claim, CheckResult.ACCUSE, fault)
 
     deltas = [t.alice_delta for t in transcripts]
+    faulty = [f is not None for f in faults]
     return _BranchTable(
-        r, bounds, np.array(p0_normal), np.array(p0_local),
-        np.array([u[4] for u in unmeasured]), tuple(exact_rows),
-        tuple(transcripts), np.array(deltas, dtype=float),
-        np.array([float(d * d) for d in deltas]),
-        np.array([t.verdict.result is RoundResult.BOB_WON for t in transcripts]),
-        np.array([t.check is CheckResult.ACCUSE for t in transcripts]), tuple(faults))
+        r, bounds, _frozen(p0_normal), _frozen(p0_local),
+        _frozen([u[4] for u in unmeasured]), tuple(exact_rows),
+        tuple(transcripts), _frozen(deltas, dtype=float),
+        _frozen([float(d * d) for d in deltas]),
+        _frozen([t.verdict.result is RoundResult.BOB_WON for t in transcripts]),
+        _frozen([t.check is CheckResult.ACCUSE for t in transcripts]), tuple(faults),
+        _frozen(faulty) if any(faulty) else None)
+
+
+def _frozen(values, dtype=None) -> np.ndarray:
+    # a cached table is shared by every run that plays it
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 def _table_branches(t: _BranchTable, u: np.ndarray) -> np.ndarray:
@@ -451,7 +488,12 @@ def _table_branches(t: _BranchTable, u: np.ndarray) -> np.ndarray:
     if t.bounds is None:
         x = (u[:, 1] * 3.0).astype(np.intp)
     else:
-        x = np.searchsorted(t.bounds, u[:, 1], side="right")
+        # the count of interval ends at or below the uniform: searchsorted's
+        # side="right" index into the non-decreasing bounds, at a fraction of its cost
+        col = u[:, 1]
+        x = np.zeros(len(col), dtype=np.intp)
+        for b in t.bounds:
+            x += col >= b
     branch = 2 * x + (u[:, 2] >= t.p0_normal[x])
     rows = np.flatnonzero(u[:, 0] < t.r)
     c = u[rows, 1:4]
@@ -495,7 +537,6 @@ def _table_sums(t: _BranchTable, seed, start, count, sink=None, params=None):
     """
     s1 = s2 = 0.0
     counts = np.zeros(len(t.delta), dtype=np.int64)
-    faulty = np.array([f is not None for f in t.faults])
     monitor_on = params is not None and params.abort_threshold is not None
     aborted = False
     done = 0
@@ -503,8 +544,8 @@ def _table_sums(t: _BranchTable, seed, start, count, sink=None, params=None):
         n = min(_CHUNK, count - done)
         branch = _table_branches(t, _round_rows(seed, start + done, n))
         fault = None
-        if faulty.any():
-            hit = faulty[branch]
+        if t.faulty is not None:
+            hit = t.faulty[branch]
             if hit.any():
                 first = int(hit.argmax())
                 fault = t.faults[branch[first]]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trinegamble.montecarlo import _entangled_table, round_player
+from trinegamble.montecarlo import _compile_entangled_table, round_player
 from trinegamble.protocol import ProtocolParams, RoundKind, RoundResult, received_state
 from trinegamble.qubit import (
     LABELS,
@@ -440,12 +440,16 @@ def test_all_strategies_pickle():
         play, rng = round_player(alice, bob, params), random.Random(9)
         return [play(rng) for _ in range(200)]
 
+    def compile_table(alice):
+        return _compile_entangled_table(alice.psi, alice.basis_policy, alice.claim_policy,
+                                        honest.measurement_povm(), params)
+
     for obj in subjects:
         clone = pickle.loads(pickle.dumps(obj))
         if isinstance(clone, EntangledAlice):
-            # a worker compiles the same branch table
-            assert (_entangled_table(clone, honest, params).exact_rows
-                    == _entangled_table(obj, honest, params).exact_rows)
+            # a worker compiles the same branch table; compiled past the
+            # cache, which would hand both the one table of their equal values
+            assert compile_table(clone).exact_rows == compile_table(obj).exact_rows
         elif isinstance(clone, BobStrategy):
             assert rounds(HonestAlice(), clone) == rounds(HonestAlice(), obj)
         else:
