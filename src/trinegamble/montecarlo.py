@@ -9,11 +9,14 @@ index) no matter how rounds are partitioned. simulate splits a run into
 at most os.cpu_count() processes: the worker count only changes float
 accumulation order in the reported means, and the process count nothing.
 
-Every sender is compiled, once per block, into one branch table: the
-single description of her game, read by both the sampler and the exact
-oracle. Each row carries its transcript (built by
-protocol.leaf_transcript), its exact (name, probability, payoff), and
-the table holds the thresholds each uniform is compared against. Every
+Every sender is compiled into one branch table: the single description
+of her game, read by both the sampler and the exact oracle. A separable
+sender is compiled once per block; an entangled one once per distinct
+(sender, receiver, params) key, into a read-only table that every later
+simulate and enumerate_exact of that key shares. Each row carries its
+transcript (built by protocol.leaf_transcript), its exact (name,
+probability, payoff), and the table holds the thresholds each uniform is
+compared against. Every
 threshold comes from one helper in qubit: outcome_bounds for the
 receiver's POVM outcome, local_measure_branches and remote_povm_branches
 for the pair, check_fail_probability for the check. enumerate_exact sums
@@ -33,18 +36,20 @@ blind guess x her outcome; checking round: guess x her outcome x pass or
 accuse). numpy plays a chunk of its rows at once and adds the payoffs
 strictly left to right, so the totals are bit-identical to playing the
 rows one at a time (tests/entangled_reference.py). Each row does only the
-work of its own round kind: at r = 0.05 that took the benchmark's
-entangled-scan workload from 3.65M to 5.82M rounds/s (BENCH_8.json).
-With the abort monitor on, a chunk's checking rows go through
-abort_monitor in order and the chunk ends at the tripping row.
+work of its own round kind, and finds the receiver's outcome with one
+comparison per interval end. With the table compiled once per key, the
+benchmark's entangled-scan workload at r = 0.05 went from 5.33M to 6.52M
+rounds/s (BENCH_20.json). With the abort monitor on, a chunk's checking
+rows go through abort_monitor in order and the chunk ends at the
+tripping row.
 
-Both engines read the receiver only through measurement_povm(), keep
-their table to themselves for the block, and hand out one prebuilt
-transcript object per row, so the CLI renders each object's line once.
-The scalar loop reads _SCALAR_CHUNK rows at a time, the table _CHUNK
-rows. A transcript sink is called once per chunk, with the list of that
-chunk's transcripts in round order; the list ends at the round that trips
-the monitor, or before the round that raises.
+Both engines read the receiver only through measurement_povm(), never
+write to their table, and hand out one prebuilt transcript object per
+row, so the CLI renders each object's line once. The scalar loop reads
+_SCALAR_CHUNK rows at a time, the table _CHUNK rows. A transcript sink is
+called once per chunk, with the list of that chunk's transcripts in round
+order; the list ends at the round that trips the monitor, or before the
+round that raises.
 
 Abort monitoring and transcript streaming are sequential (the monitor
 reads the running counts in round order), so those runs play in one
