@@ -336,7 +336,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--noise", type=float, default=0.0, help="depolarizing weight on the channel")
     sim.add_argument("--abort-threshold", type=_opt_float, default=None, help="accusation rate that trips the abort monitor (empty/none disables)")
     sim.add_argument("--abort-min-checks", type=int, default=1, help="checks required before the monitor may trip")
-    sim.add_argument("--workers", type=int, default=1, help="contiguous round blocks, summed in order and run on at most as many processes as the machine has CPUs")
+    sim.add_argument("--workers", type=int, default=1, help="contiguous round blocks, run on at most as many processes as the machine has CPUs; the result is the same for every count")
     sim.add_argument("--transcript", default="", metavar="PATH", help="stream per-round records to PATH as JSON lines")
     add_output_flags(sim)
     sim.set_defaults(func=cmd_simulate)

@@ -5,18 +5,21 @@ from row i of an implicit Philox(key=seed) matrix of shape (rounds, 8).
 Any contiguous block of rows regenerates bit-identically from the counter
 offset, so every round's randomness is a pure function of (seed, round
 index) no matter how rounds are partitioned. simulate splits a run into
-``workers`` contiguous blocks, totals them in block order and plays them on
-at most os.cpu_count() processes: the worker count only changes float
-accumulation order in the reported means, and the process count nothing.
+``workers`` contiguous blocks and plays them on at most os.cpu_count()
+processes. A block counts the rounds that land on each row of the sender's
+table, the blocks' counts add as integers, and _result works the totals out
+once from them: payoff sums exactly, in integers over the payoffs' common
+power-of-two denominator, then rounded once. So the result is the same for
+every worker and process count.
 
 Every sender is compiled into one branch table: the single description
 of her game, read by both the sampler and the exact oracle. A separable
-sender is compiled once per block; an entangled one once per distinct
-(sender, receiver, params) key, into a read-only table that every later
-simulate and enumerate_exact of that key shares. Each row carries its
-transcript (built by protocol.leaf_transcript), its exact (name,
-probability, payoff), and the table holds the thresholds each uniform is
-compared against. Every
+sender is compiled once per simulate and once per worker's block; an
+entangled one once per distinct (sender, receiver, params) key, into a
+read-only table that every later simulate and enumerate_exact of that
+key shares. Each row carries its transcript (built by
+protocol.leaf_transcript), its exact (name, probability, payoff), and
+the table holds the thresholds each uniform is compared against. Every
 threshold comes from one helper in qubit: outcome_bounds for the
 receiver's POVM outcome, local_measure_branches and remote_povm_branches
 for the pair, check_fail_probability for the check. enumerate_exact sums
@@ -24,24 +27,23 @@ the rows of the table compiled against the honest receiver.
 
 A separable sender's table (_separable_table) has nine rows per
 preparation: a normal round on each receiver outcome or blind guess, or
-a checking round on each guess that passes or accuses. round_player is
-a view over it: it turns one round's uniforms into a row index (prepare,
+a checking round on each guess that passes or accuses. round_player is a
+view over it: it turns one round's uniforms into a row index (prepare,
 the round kind, the guess bisected into the preparation's outcome bounds
-or drawn blind, then the check) and returns that row's transcript, and
-the scalar loop plays it round by round. Separable senders stay on that
-loop until the benchmark's statistical check stops raising false alarms
-at the pass counts numpy would reach. An entangled sender's table
-(_entangled_table) has eighteen rows (normal round: receiver's outcome or
-blind guess x her outcome; checking round: guess x her outcome x pass or
-accuse). numpy plays a chunk of its rows at once and adds the payoffs
-strictly left to right, so the totals are bit-identical to playing the
-rows one at a time (tests/entangled_reference.py). Each row does only the
-work of its own round kind, and finds the receiver's outcome with one
-comparison per interval end. With the table compiled once per key, the
-benchmark's entangled-scan workload at r = 0.05 went from 5.33M to 6.52M
-rounds/s (BENCH_20.json). With the abort monitor on, a chunk's checking
-rows go through abort_monitor in order and the chunk ends at the
-tripping row.
+or drawn blind, then the check) and returns that row's index, and the
+scalar loop plays it round by round. Separable senders stay on that loop
+until the benchmark's statistical check stops raising false alarms at
+the pass counts numpy would reach. An entangled sender's table
+(_entangled_table) has eighteen rows (normal round: receiver's outcome
+or blind guess x her outcome; checking round: guess x her outcome x pass
+or accuse). numpy plays a chunk of its rows at once and counts the
+branch each lands on, as played one uniform at a time would
+(tests/entangled_reference.py). Each row does only the work of its own
+round kind, and finds the receiver's outcome with one comparison per
+interval end. With the table compiled once per key, the benchmark's
+entangled-scan workload at r = 0.05 went from 5.33M to 6.52M rounds/s
+(BENCH_20.json). With the abort monitor on, a chunk's checking rows go
+through abort_monitor in order and the chunk ends at the tripping row.
 
 Both engines read the receiver only through measurement_povm(), never
 write to their table, and hand out one prebuilt transcript object per
@@ -75,7 +77,6 @@ from .protocol import (
     ProtocolParams,
     RoundKind,
     RoundResult,
-    RoundTranscript,
     abort_monitor,
     leaf_transcript,
     received_state,
@@ -219,10 +220,10 @@ def _separable_table(alice, bob, params) -> _SeparableTable:
                            tuple(exact_rows), tuple(transcripts))
 
 
-def round_player(alice, bob, params: ProtocolParams):
-    """Compile a separable sender and a receiver for one run into their
-    _separable_table and return play(rng), which plays one full round and
-    returns the transcript of the row it lands on.
+def round_player(alice, table: _SeparableTable, params: ProtocolParams):
+    """Return play(rng) for a separable sender compiled into table by
+    _separable_table: it plays one full round and returns the index of
+    the row it lands on.
 
     The sender prepares first. The round kind is drawn next, Bernoulli(r),
     before the receiver touches the qubit; the sender never learns it
@@ -231,59 +232,56 @@ def round_player(alice, bob, params: ProtocolParams):
     to in prepare; in a normal round he bisects one uniform into his POVM's
     outcome bounds, or guesses uniformly when he is blind.
     """
-    table = _separable_table(alice, bob, params)
-    transcripts, p_fail, bounds = table.transcripts, table.p_fail, table.bounds
+    p_fail, bounds = table.p_fail, table.bounds
     normal = len(table.labels)
     stride = normal + 2 * len(LABELS)
     # the bound method keeps the sender, and so her preparations and their ids
     index = {id(prep): i for i, (_, prep) in enumerate(alice.preparations)}
     prepare, r = alice.prepare, params.r
 
-    def play(rng) -> RoundTranscript:
+    def play(rng) -> int:
         i = index[id(prepare(rng))]
         if rng.random() < r:
             row = i * stride + normal + 2 * int(rng.random() * 3.0)
-            return transcripts[row + (rng.random() < p_fail[i])]
+            return row + (rng.random() < p_fail[i])
         if bounds is None:
-            return transcripts[i * stride + int(rng.random() * 3.0)]
-        return transcripts[i * stride + bisect_right(bounds[i], rng.random())]
+            return i * stride + int(rng.random() * 3.0)
+        return i * stride + bisect_right(bounds[i], rng.random())
 
     return play
 
 
-def _block_sums(alice, bob, params, seed, start, count, sink=None):
-    """Play rounds [start, start + count) in order and total them: (rounds,
-    sum, sumsq, wins, losses, checks, accusations, aborted).
-
-    An entangled sender plays from her branch table with numpy, every
-    other sender round by round through round_player.
-    """
-    if isinstance(alice, EntangledAlice):
-        return _table_sums(_entangled_table(alice, bob, params), seed, start, count,
-                           sink, params)
-    return _scalar_sums(alice, bob, params, seed, start, count, sink)
+def _compile(alice, bob, params):
+    compile_table = _entangled_table if isinstance(alice, EntangledAlice) else _separable_table
+    return compile_table(alice, bob, params)
 
 
-def _scalar_sums(alice, bob, params, seed, start, count, sink=None):
-    """_block_sums through round_player, compiled once for the block and
-    played one round at a time.
+def _block_counts(alice, table, params, seed, start, count, sink=None):
+    """Play rounds [start, start + count) of alice's table in order:
+    (counts, aborted), counts[b] the rounds that landed on row b. An
+    entangled sender's table plays with numpy, any other round by round."""
+    if isinstance(table, _BranchTable):
+        return _table_counts(table, seed, start, count, sink, params)
+    return _scalar_counts(alice, table, params, seed, start, count, sink)
+
+
+def _scalar_counts(alice, table, params, seed, start, count, sink=None):
+    """_block_counts through round_player, played one round at a time.
 
     With a sink, each chunk's transcripts are collected in a list, in round
     order, and handed to sink in one call when the chunk ends: at its last
     row, at the round that trips the abort monitor (so that round is still
     written) or, before the error propagates, at a round that raises. A
-    chunk that played no round is not handed on. rounds is short of count
-    only when the monitor tripped.
+    chunk that played no round is not handed on.
     """
-    play = round_player(alice, bob, params)
+    play = round_player(alice, table, params)
     rng = _RoundRng()
-    s1 = 0.0
-    s2 = 0.0
-    wins = losses = checks = accs = 0
+    transcripts = table.transcripts
+    counts = [0] * len(transcripts)
     monitor_on = params.abort_threshold is not None
-    checking = RoundKind.CHECKING
-    bob_won = RoundResult.BOB_WON
-    accuse = CheckResult.ACCUSE
+    checking = [t.kind is RoundKind.CHECKING for t in transcripts]
+    accused = [t.check is CheckResult.ACCUSE for t in transcripts]
+    checks = accs = 0
     abort = MonitorDecision.ABORT
     aborted = False
     done = 0
@@ -296,21 +294,13 @@ def _scalar_sums(alice, bob, params, seed, start, count, sink=None):
             for row in rows:
                 rng.row = row
                 rng.pos = 0
-                t = play(rng)
-                kind, _, _, verdict, check, a_delta, _ = t
-                s1 += a_delta
-                s2 += a_delta * a_delta
-                if verdict.result is bob_won:
-                    wins += 1
-                else:
-                    losses += 1
-                if kind is checking:
-                    checks += 1
-                    if check is accuse:
-                        accs += 1
+                b = play(rng)
+                counts[b] += 1
                 if sink is not None:
-                    keep(t)
-                if monitor_on and kind is checking:
+                    keep(transcripts[b])
+                if monitor_on and checking[b]:
+                    checks += 1
+                    accs += accused[b]
                     if abort_monitor(checks, accs, params) is abort:
                         aborted = True
                         break
@@ -318,7 +308,7 @@ def _scalar_sums(alice, bob, params, seed, start, count, sink=None):
             if played:
                 sink(played)
         done += n
-    return wins + losses, s1, s2, wins, losses, checks, accs, aborted
+    return counts, aborted
 
 
 # normal-round branches come first in a branch table, checking rounds after
@@ -343,9 +333,6 @@ class _BranchTable(NamedTuple):
     p_fail: np.ndarray  # check failure per (guess, j), at 2 * g + j
     exact_rows: tuple
     transcripts: tuple
-    delta: np.ndarray  # sender's payoff and its square, per branch
-    delta_sq: np.ndarray
-    won: np.ndarray  # the receiver's guess matched the claim
     accused: np.ndarray
     faults: tuple  # None, or the (exception type, message) a sampled branch raises
     faulty: Optional[np.ndarray]  # whether each branch raises; None when none does
@@ -462,21 +449,17 @@ def _compile_entangled_table(psi, basis, claims, povm, params) -> _BranchTable:
         branch(RoundKind.CHECKING, f"checking|guess={g}|j={j}|accuse", w * pf,
                g, claim, CheckResult.ACCUSE, fault)
 
-    deltas = [t.alice_delta for t in transcripts]
     faulty = [f is not None for f in faults]
     return _BranchTable(
         r, bounds, _frozen(p0_normal), _frozen(p0_local),
-        _frozen([u[4] for u in unmeasured]), tuple(exact_rows),
-        tuple(transcripts), _frozen(deltas, dtype=float),
-        _frozen([float(d * d) for d in deltas]),
-        _frozen([t.verdict.result is RoundResult.BOB_WON for t in transcripts]),
+        _frozen([u[4] for u in unmeasured]), tuple(exact_rows), tuple(transcripts),
         _frozen([t.check is CheckResult.ACCUSE for t in transcripts]), tuple(faults),
         _frozen(faulty) if any(faulty) else None)
 
 
-def _frozen(values, dtype=None) -> np.ndarray:
+def _frozen(values) -> np.ndarray:
     # a cached table is shared by every run that plays it
-    a = np.array(values, dtype=dtype)
+    a = np.array(values)
     a.flags.writeable = False
     return a
 
@@ -510,12 +493,6 @@ def _table_branches(t: _BranchTable, u: np.ndarray) -> np.ndarray:
     return branch
 
 
-def _accumulate(total: float, values: np.ndarray) -> float:
-    # strictly left to right, as the scalar loop adds, so the sum is bit-identical
-    values[0] += total
-    return float(np.add.accumulate(values, out=values)[-1])
-
-
 def _trip_row(t: _BranchTable, branch: np.ndarray, counts: np.ndarray, params):
     """Index of the row of branch at which abort_monitor trips, or None.
 
@@ -530,8 +507,8 @@ def _trip_row(t: _BranchTable, branch: np.ndarray, counts: np.ndarray, params):
     return None
 
 
-def _table_sums(t: _BranchTable, seed, start, count, sink=None, params=None):
-    """_block_sums from a branch table, one chunk of rows at a time.
+def _table_counts(t: _BranchTable, seed, start, count, sink=None, params=None):
+    """_block_counts from a branch table, one chunk of rows at a time.
 
     With params whose abort monitor is on, a chunk ends at the row that
     trips it. sink, when given, then receives the transcripts of the
@@ -540,8 +517,7 @@ def _table_sums(t: _BranchTable, seed, start, count, sink=None, params=None):
     on, unless the monitor tripped first. A chunk that played no row is not
     handed on.
     """
-    s1 = s2 = 0.0
-    counts = np.zeros(len(t.delta), dtype=np.int64)
+    counts = np.zeros(len(t.transcripts), dtype=np.int64)
     monitor_on = params is not None and params.abort_threshold is not None
     aborted = False
     done = 0
@@ -566,17 +542,33 @@ def _table_sums(t: _BranchTable, seed, start, count, sink=None, params=None):
         if fault is not None:
             kind, message = fault
             raise kind(message)
-        s1 = _accumulate(s1, t.delta[branch])
-        s2 = _accumulate(s2, t.delta_sq[branch])
         counts += np.bincount(branch, minlength=len(counts))
         done += len(branch)
-    wins = int(counts[t.won].sum())
-    checks = int(counts[_NORMAL:].sum())
-    accs = int(counts[t.accused].sum())
-    return done, s1, s2, wins, done - wins, checks, accs, aborted
+    return counts.tolist(), aborted
 
 
-def _result_from_sums(n, s1, s2, wins, losses, checks, accs, aborted) -> SimResult:
+def _quotient(num: int, den: int) -> float:
+    # correctly rounded; past the float range an infinity, as a float sum gives
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _result(table, counts, aborted) -> SimResult:
+    """The SimResult of a run that landed counts[b] times on row b of table.
+
+    Each payoff is m / d with d a power of two, so over their largest d the
+    payoff totals are integers, and one division rounds each of them once."""
+    rows = [(c, t) for c, t in zip(counts, table.transcripts) if c]
+    n = sum(c for c, _ in rows)
+    wins = sum(c for c, t in rows if t.verdict.result is RoundResult.BOB_WON)
+    checks = sum(c for c, t in rows if t.kind is RoundKind.CHECKING)
+    accs = sum(c for c, t in rows if t.check is CheckResult.ACCUSE)
+    ratios = [(c, *float(t.alice_delta).as_integer_ratio()) for c, t in rows]
+    den = max(d for _, _, d in ratios)
+    s1 = _quotient(sum(c * m * (den // d) for c, m, d in ratios), den)
+    s2 = _quotient(sum(c * (m * (den // d)) ** 2 for c, m, d in ratios), den * den)
     mean = s1 / n
     if n > 1:
         var = (s2 - n * mean * mean) / (n - 1)
@@ -584,20 +576,21 @@ def _result_from_sums(n, s1, s2, wins, losses, checks, accs, aborted) -> SimResu
         stderr = math.nan if math.isnan(var) else math.sqrt(max(0.0, var) / n)
     else:
         stderr = 0.0
-    return SimResult(n, mean, -mean, stderr, wins, losses, checks, accs, bool(aborted))
+    return SimResult(n, mean, -mean, stderr, wins, n - wins, checks, accs, bool(aborted))
 
 
 def _worker(args):
-    return _block_sums(*args)
+    alice, bob, params, seed, start, count = args
+    return _block_counts(alice, _compile(alice, bob, params), params, seed, start, count)
 
 
 def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
     """Run the configured number of rounds and aggregate.
 
     Per-round randomness depends only on (seed, round index); identical
-    configs give bit-identical results. With the abort monitor enabled the
-    run stops at the first tripping round and reports the partial totals
-    with aborted = True.
+    configs give bit-identical results, whatever the worker count. With the
+    abort monitor enabled the run stops at the first tripping round and
+    reports the partial totals with aborted = True.
 
     transcript_sink, when given, is called once per chunk of rounds played
     (at most _SCALAR_CHUNK rounds for a separable sender, _CHUNK for an
@@ -607,26 +600,25 @@ def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
     tripped; a round that raises is not in them, and every round before it
     is. Equal transcripts are the same object.
     """
-    params = config.params
+    alice, params = config.alice, config.params
+    table = _compile(alice, config.bob, params)
     workers = min(config.workers, config.rounds)
     if transcript_sink is not None or params.abort_threshold is not None or workers <= 1:
-        return _result_from_sums(*_block_sums(config.alice, config.bob, params, config.seed,
-                                              0, config.rounds, transcript_sink))
+        return _result(table, *_block_counts(alice, table, params, config.seed, 0,
+                                             config.rounds, transcript_sink))
     base, extra = divmod(config.rounds, workers)
     jobs = []
     start = 0
     for w in range(workers):
         count = base + (1 if w < extra else 0)
-        jobs.append((config.alice, config.bob, params, config.seed, start, count))
+        jobs.append((alice, config.bob, params, config.seed, start, count))
         start += count
-    # forking one process per block could start thousands; map keeps block order
+    # forking one process per block could start thousands
     procs = min(workers, os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=procs) as pool:
         parts = list(pool.map(_worker, jobs, chunksize=-(-workers // procs)))
-    totals = parts[0]
-    for part in parts[1:]:
-        totals = [a + b for a, b in zip(totals, part)]
-    return _result_from_sums(*totals)
+    counts = [sum(column) for column in zip(*(part[0] for part in parts))]
+    return _result(table, counts, any(part[1] for part in parts))
 
 
 @dataclass(frozen=True)
@@ -652,8 +644,7 @@ def enumerate_exact(alice, params: ProtocolParams) -> ExactExpectation:
     outcome g and her outcome j, and ``entangled|checking|guess=g|j=..|pass``
     or ``|accuse``.
     """
-    compile_table = _entangled_table if isinstance(alice, EntangledAlice) else _separable_table
-    return _expectation(compile_table(alice, BobStrategy.honest_optimal(), params).exact_rows)
+    return _expectation(_compile(alice, BobStrategy.honest_optimal(), params).exact_rows)
 
 
 def _expectation(rows) -> ExactExpectation:

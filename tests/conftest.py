@@ -1,14 +1,25 @@
-"""Shared helpers: tolerance-free randomness plumbing, binomial bars and
-round counts recomputed from transcripts."""
+"""Shared helpers: tolerance-free randomness plumbing, binomial bars,
+round counts and results recomputed from transcripts, and the loop that
+plays a reference round one row of uniforms at a time."""
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from trinegamble.protocol import CheckResult, RoundKind, RoundResult
+from trinegamble import montecarlo
+from trinegamble.montecarlo import SimResult
+from trinegamble.protocol import (
+    CheckResult,
+    MonitorDecision,
+    RoundKind,
+    RoundResult,
+    abort_monitor,
+)
 from trinegamble.qubit import LABELS, PureState, TwoQubitState
 from trinegamble.strategies import EntangledAlice, in_plane_state
 
@@ -68,6 +79,61 @@ def tally(transcripts) -> Tally:
     return Tally(len(ts), wins, len(ts) - wins, len(checks),
                  sum(t.check is CheckResult.ACCUSE for t in checks),
                  sum(t.alice_delta for t in ts), sum(t.bob_delta for t in ts))
+
+
+def reference_result(transcripts, aborted) -> SimResult:
+    """The SimResult of the given rounds, recomputed from them alone: the
+    mean from math.fsum of the payoffs, which rounds their exact total
+    once, and the sum of squares from exact rationals."""
+    counts = tally(transcripts)
+    n = counts.rounds
+    payoffs = Counter(t.alice_delta for t in transcripts)
+    mean = math.fsum(t.alice_delta for t in transcripts) / n
+    s2 = float(sum(count * Fraction(d) ** 2 for d, count in payoffs.items()))
+    stderr = 0.0
+    if n > 1:
+        var = (s2 - n * mean * mean) / (n - 1)
+        stderr = math.nan if math.isnan(var) else math.sqrt(max(0.0, var) / n)
+    return SimResult(n, mean, -mean, stderr, counts.wins, counts.losses, counts.checks,
+                     counts.accusations, aborted)
+
+
+def play_reference(play, params, seed, start, count, played) -> bool:
+    """Play rounds [start, start + count) one at a time, each through
+    play(rng) on its row of uniforms, and append each round's transcript to
+    played. Stops after the round that trips the abort monitor and returns
+    whether one did; a round that raises is not appended."""
+    rng = montecarlo._RoundRng()
+    checks = accs = 0
+    for row in montecarlo._round_rows(seed, start, count).tolist():
+        rng.row, rng.pos = row, 0
+        t = play(rng)
+        played.append(t)
+        if t.kind is RoundKind.CHECKING:
+            checks += 1
+            accs += t.check is CheckResult.ACCUSE
+            if (params.abort_threshold is not None
+                    and abort_monitor(checks, accs, params) is MonitorDecision.ABORT):
+                return True
+    return False
+
+
+def play_engine(alice, bob, params, seed, start, count):
+    """The package's result for rounds [start, start + count), from the
+    block's row counts, and the transcripts it handed its sink."""
+    table = montecarlo._compile(alice, bob, params)
+    played = []
+    counts, aborted = montecarlo._block_counts(alice, table, params, seed, start, count,
+                                               played.extend)
+    return montecarlo._result(table, counts, aborted), played
+
+
+def transcript_player(alice, bob, params):
+    """round_player over the separable table of alice and bob, returning
+    each round's transcript instead of its row."""
+    table = montecarlo._separable_table(alice, bob, params)
+    play = montecarlo.round_player(alice, table, params)
+    return lambda rng: table.transcripts[play(rng)]
 
 
 @pytest.fixture

@@ -8,10 +8,8 @@ guess, the sender's outcome from local_measure_branches on the pair, and
 the check on the collapsed sent half. It takes no channel noise.
 
 The package plays entangled senders only from their compiled branch table.
-Installed over montecarlo.round_player as
-functools.partial(functools.partial, run_round) (with monkeypatch), this
-round makes montecarlo._scalar_sums play them round by round, so the two
-can be compared row for row.
+conftest.play_reference plays run_round one round at a time, on the rows
+of uniforms the table reads, so the two can be compared row for row.
 """
 
 from trinegamble.protocol import (

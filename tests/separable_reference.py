@@ -9,10 +9,8 @@ mixture draws its component the same way from its weights. The package
 instead rules each round from the claim committed in prepare and bisects
 bounds computed once per run, with the same uniforms in the same order.
 
-Installed over montecarlo.round_player as
-functools.partial(functools.partial, run_round) (with monkeypatch), this
-round makes montecarlo._scalar_sums play separable senders the old way, so
-the two can be compared row for row.
+conftest.play_reference plays run_round one round at a time, on the rows
+of uniforms the package reads, so the two can be compared row for row.
 """
 
 import bisect

@@ -1,13 +1,13 @@
 """The branch-table engine against the scalar reference round: same rows,
-same tuple, same transcripts, same trip row.
+same result, same transcripts, same trip row.
 
 An entangled sender plays only from her compiled branch table. The
-reference (entangled_reference.run_round, installed over
-montecarlo.round_player) plays her one uniform at a time through the scalar
-loop. Both must return exactly the same totals, bit for bit, for every
-receiver, checking rate, seed, offset and length; write the same
-transcript lines; trip the abort monitor on the same row; and fail where
-the other fails.
+reference (entangled_reference.run_round) plays her one uniform at a time,
+through conftest.play_reference. For every receiver, checking rate, seed,
+offset and length, the engine must hand on the same transcripts as the
+reference, and its result, worked out from its row counts, must equal the
+one recomputed from the reference's transcripts, bit for bit; both must
+trip the abort monitor on the same row, and fail where the other fails.
 """
 
 import dataclasses
@@ -22,10 +22,9 @@ from trinegamble.montecarlo import (
     _CHUNK,
     _NORMAL,
     SimConfig,
-    _block_sums,
+    _block_counts,
     _entangled_table,
-    _result_from_sums,
-    _scalar_sums,
+    _result,
     _separable_table,
     _table_branches,
     simulate,
@@ -52,13 +51,19 @@ from trinegamble.strategies import (
 )
 
 import entangled_reference
-from conftest import closed_form_attack, random_pure
+from conftest import (
+    closed_form_attack,
+    play_engine,
+    play_reference,
+    random_pure,
+    reference_result,
+)
 
 TRINE = trine_states()
 BOBS = {"honest": BobStrategy.honest_optimal(), "blind": BobStrategy.random_guess()}
-# the showcase point, one whose penalty is not a whole number, so that the
-# order in which payoffs are added shows in the sums, and one with no
-# checking rounds at all
+# the showcase point, one whose penalty is not a whole number, so that only
+# exactly rounded totals match the reference's, and one with no checking
+# rounds at all
 PARAMS = {
     0.0: ProtocolParams(r=0.0, R=398.0),
     0.05: ProtocolParams(r=0.05, R=398.0),
@@ -93,26 +98,36 @@ def test_the_blank_outcome_sender_exercises_the_shifted_check():
     assert np.all((0.0 < reached) & (reached < 1.0))
 
 
+def _reference_run(alice, bob, params, seed, start, count, played):
+    """The reference's result for the rounds it played into played."""
+    play = functools.partial(entangled_reference.run_round, alice, bob, params)
+    aborted = play_reference(play, params, seed, start, count, played)
+    return reference_result(played, aborted)
+
+
 @pytest.fixture
-def reference(monkeypatch):
-    """The scalar loop, playing entangled senders through the reference round."""
-    monkeypatch.setattr(montecarlo, "round_player",
-                        functools.partial(functools.partial, entangled_reference.run_round))
-    return _scalar_sums
+def reference():
+    """Play entangled senders one round at a time through the reference
+    round: the result recomputed from its transcripts, and those."""
+
+    def run(alice, bob, params, seed, start, count):
+        played = []
+        return _reference_run(alice, bob, params, seed, start, count, played), played
+
+    return run
+
+
+def _unwatched(alice, bob, params, seed, start, count):
+    """The engine's result with no sink, which skips transcripts."""
+    table = _entangled_table(alice, bob, params)
+    return _result(table, *_block_counts(alice, table, params, seed, start, count))
 
 
 def _play(play, alice, bob, params, seed, start, count):
-    """A run's tuple and the transcript lines it wrote."""
-    lines, rendered = [], {}
-
-    def sink(chunk):
-        for t in chunk:
-            if t not in rendered:
-                rendered[t] = transcript_line(t)
-            lines.append(rendered[t])
-
-    sums = play(alice, bob, params, seed, start, count, sink)
-    return sums, lines
+    """A run's result and the transcript lines it wrote."""
+    result, played = play(alice, bob, params, seed, start, count)
+    rendered = {t: transcript_line(t) for t in set(played)}
+    return result, [rendered[t] for t in played]
 
 
 def _monitored(params, threshold, min_checks):
@@ -125,11 +140,11 @@ def _monitored(params, threshold, min_checks):
 def test_table_matches_the_scalar_loop_bit_for_bit(reference, sender, bob, r):
     alice, bob, params = SENDERS[sender], BOBS[bob], PARAMS[r]
     for seed, start, count in ((BIG_SEED, 0, 3), (BIG_SEED, 77, 3), (5, 77, 1_500)):
-        table = _play(_block_sums, alice, bob, params, seed, start, count)
+        table = _play(play_engine, alice, bob, params, seed, start, count)
         assert table == _play(reference, alice, bob, params, seed, start, count)
         assert len(table[1]) == count
-        # the unwatched chunk loop, which skips transcripts, gives the same tuple
-        assert _block_sums(alice, bob, params, seed, start, count) == table[0]
+        # the unwatched chunk loop, which skips transcripts, gives the same result
+        assert _unwatched(alice, bob, params, seed, start, count) == table[0]
 
 
 @pytest.mark.parametrize("r", sorted(PARAMS))
@@ -137,21 +152,22 @@ def test_table_matches_the_scalar_loop_bit_for_bit(reference, sender, bob, r):
 @pytest.mark.parametrize("sender", sorted(SENDERS))
 def test_the_monitor_trips_on_the_same_row(reference, sender, bob, r):
     alice, bob, plain = SENDERS[sender], BOBS[bob], PARAMS[r]
-    _, lines = _play(_block_sums, alice, bob, plain, 5, 77, 1_500)
+    _, lines = _play(play_engine, alice, bob, plain, 5, 77, 1_500)
     accused = [i for i, line in enumerate(lines) if '"check":"accuse"' in line]
     exact = {name: p for name, p, _ in _entangled_table(alice, bob, plain).exact_rows}
     rate = math.fsum(p for name, p in exact.items() if name.endswith("accuse")) / r if r else 0.0
     for threshold, min_checks in ((0.0, 1), (rate, 10), (1.0, 1)):
         params = _monitored(plain, threshold, min_checks)
-        table = _play(_block_sums, alice, bob, params, 5, 77, 1_500)
+        table = _play(play_engine, alice, bob, params, 5, 77, 1_500)
         assert table == _play(reference, alice, bob, params, 5, 77, 1_500)
-        sums, played = table
-        assert sums[0] == len(played) and played == lines[:len(played)]
+        result, played = table
+        assert result.rounds == len(played) and played == lines[:len(played)]
         if threshold == 0.0:
             # trips on the first accusation, or never
-            assert sums[7] == bool(accused) and sums[0] == (accused[0] + 1 if accused else 1_500)
+            assert result.aborted == bool(accused)
+            assert result.rounds == (accused[0] + 1 if accused else 1_500)
         if threshold == 1.0:
-            assert not sums[7] and sums[0] == 1_500
+            assert not result.aborted and result.rounds == 1_500
 
 
 @pytest.mark.parametrize("sender, bob", [("aligned", "honest"), ("attack", "blind")])
@@ -159,10 +175,11 @@ def test_the_monitor_trips_past_the_first_chunk(reference, sender, bob):
     # no trip before 35k checks, about 70k rows in at r = 0.5
     params = _monitored(PARAMS[0.5], 0.0, 35_000)
     count = 3 * _CHUNK
-    table = _play(_block_sums, SENDERS[sender], BOBS[bob], params, BIG_SEED, 77, count)
+    table = _play(play_engine, SENDERS[sender], BOBS[bob], params, BIG_SEED, 77, count)
     assert table == _play(reference, SENDERS[sender], BOBS[bob], params, BIG_SEED, 77, count)
-    sums, lines = table
-    assert sums[7] and sums[5] == 35_000 and _CHUNK < sums[0] == len(lines) < count
+    result, lines = table
+    assert result.aborted and result.check_count == 35_000
+    assert _CHUNK < result.rounds == len(lines) < count
     assert '"kind":"checking"' in lines[-1]
 
 
@@ -176,26 +193,25 @@ def test_table_matches_the_scalar_loop_over_several_chunks(reference, sender, bo
     count = 70_000
     assert count > _CHUNK
     alice, bob = SENDERS[sender], BOBS[bob]
-    table = _block_sums(alice, bob, PARAMS[r], BIG_SEED, 77, count)
-    assert table == reference(alice, bob, PARAMS[r], BIG_SEED, 77, count)
-    assert table[0] == count and table[5] > 0
+    table = _unwatched(alice, bob, PARAMS[r], BIG_SEED, 77, count)
+    assert table == reference(alice, bob, PARAMS[r], BIG_SEED, 77, count)[0]
+    assert table.rounds == count and table.check_count > 0
     # a monitor that holds watches every chunk and changes nothing
-    held = _play(_block_sums, alice, bob, _monitored(PARAMS[r], 1.0, 1), BIG_SEED, 77, count)
+    held = _play(play_engine, alice, bob, _monitored(PARAMS[r], 1.0, 1), BIG_SEED, 77, count)
     assert held[0] == table and len(held[1]) == count
 
 
 def test_split_runs_match_the_scalar_split(reference):
-    # the pool's workers play their blocks from the table too; the totals
-    # equal the scalar loop's blocks merged in the same order
+    # the pool's workers play their blocks from the table too; the result
+    # equals the one recomputed from the reference's blocks, joined in order
     params = PARAMS[0.5]
     for name in ("attack", "random:3"):
         alice = SENDERS[name]
         config = SimConfig(rounds=9_001, seed=BIG_SEED, params=params, alice=alice,
                            bob=BOBS["honest"], workers=2)
-        halves = [reference(alice, BOBS["honest"], params, BIG_SEED, 0, 4_501),
-                  reference(alice, BOBS["honest"], params, BIG_SEED, 4_501, 4_500)]
-        totals = [a + b for a, b in zip(*halves)]
-        assert simulate(config) == _result_from_sums(*totals)
+        halves = [reference(alice, BOBS["honest"], params, BIG_SEED, 0, 4_501)[1],
+                  reference(alice, BOBS["honest"], params, BIG_SEED, 4_501, 4_500)[1]]
+        assert simulate(config) == reference_result(halves[0] + halves[1], False)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +234,7 @@ def _transcript_branch(alice, t):
 
 
 def _rows_match(reference, alice, bob, params, seed, start, count):
-    played = []
-    reference(alice, bob, params, seed, start, count, sink=played.extend)
+    _, played = reference(alice, bob, params, seed, start, count)
     branch = _table_branches(_entangled_table(alice, bob, params),
                              montecarlo._round_rows(seed, start, count))
     assert branch.tolist() == [_transcript_branch(alice, t) for t in played]
@@ -255,9 +270,9 @@ def test_an_all_checking_chunk_matches_row_by_row(monkeypatch, reference, sender
     alice, params = _telling(SENDERS[sender]), PARAMS[0.05]
     branch = _rows_match(reference, alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
     assert (branch >= _NORMAL).all()
-    table = _block_sums(alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
-    assert table == reference(alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
-    assert table[5] == 3_000
+    table = _unwatched(alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
+    assert table == reference(alice, BOBS[bob], params, BIG_SEED, 77, 3_000)[0]
+    assert table.check_count == 3_000
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +285,19 @@ class _Subclass(EntangledAlice):
 
 def test_every_entangled_run_takes_the_table(monkeypatch):
     calls = []
-    real = montecarlo._table_sums
-    monkeypatch.setattr(montecarlo, "_table_sums", lambda *args: calls.append(1) or real(*args))
+    real = montecarlo._table_counts
+    monkeypatch.setattr(montecarlo, "_table_counts", lambda *args: calls.append(1) or real(*args))
     alice = SENDERS["aligned"]
     plain = ProtocolParams(r=0.5, R=398.0)
     bob = BOBS["honest"]
-    _block_sums(alice, bob, plain, 1, 0, 10)
-    _block_sums(alice, BOBS["blind"], plain, 1, 0, 10)
-    _block_sums(alice, bob, plain, 1, 0, 10, sink=lambda chunk: None)
-    _block_sums(alice, bob, ProtocolParams(r=0.5, R=398.0, abort_threshold=0.9), 1, 0, 10)
-    _block_sums(alice, bob, ProtocolParams(r=0.5, R=398.0, noise_lambda=0.1), 1, 0, 10)
-    _block_sums(_Subclass(alice.psi, alice.basis_policy, alice.claim_policy), bob, plain, 1, 0, 10)
+    play_engine(alice, bob, plain, 1, 0, 10)
+    play_engine(alice, BOBS["blind"], plain, 1, 0, 10)
+    _unwatched(alice, bob, plain, 1, 0, 10)
+    play_engine(alice, bob, ProtocolParams(r=0.5, R=398.0, abort_threshold=0.9), 1, 0, 10)
+    play_engine(alice, bob, ProtocolParams(r=0.5, R=398.0, noise_lambda=0.1), 1, 0, 10)
+    play_engine(_Subclass(alice.psi, alice.basis_policy, alice.claim_policy), bob, plain, 1, 0, 10)
     assert len(calls) == 6
-    _block_sums(FixedStateCheat.from_angle(1.0, "a"), bob, plain, 1, 0, 10)
+    play_engine(FixedStateCheat.from_angle(1.0, "a"), bob, plain, 1, 0, 10)
     assert len(calls) == 6
 
 
@@ -299,7 +314,7 @@ def _rows_of(row):
 def _same_failure(monkeypatch, reference, alice, bob, params, row):
     monkeypatch.setattr(montecarlo, "_round_rows", _rows_of(row))
     errors = []
-    for play in (_block_sums, reference):
+    for play in (play_engine, reference):
         with pytest.raises((AssertionError, ValueError)) as info:
             play(alice, bob, params, 1, 0, 5)
         errors.append((info.type, str(info.value)))
@@ -330,15 +345,27 @@ ROWS = {"normal": [0.9] + [0.5] * 7, "accuse": [0.0, 0.1, 0.5, 0.1] + [0.5] * 4,
         "fault": [0.0] * 8}
 
 
-def _outcome(play, alice, params, count):
-    """A run's tuple, or the error it raised, and the lines it wrote first."""
+def _engine_outcome(alice, params, count):
+    """The engine's result, or the error it raised, and the lines it wrote first."""
     lines = []
+    table = _entangled_table(alice, BOBS["honest"], params)
     try:
-        sums = play(alice, BOBS["honest"], params, 1, 0, count,
-                    lambda chunk: lines.extend(map(transcript_line, chunk)))
+        got = _result(table, *_block_counts(alice, table, params, 1, 0, count,
+                                            lambda chunk: lines.extend(map(transcript_line, chunk))))
     except AssertionError as exc:
-        sums = (type(exc), str(exc))
-    return sums, lines
+        got = (type(exc), str(exc))
+    return got, lines
+
+
+def _reference_outcome(alice, params, count):
+    """The reference's result, or the error it raised, and the lines of the
+    rounds it played first."""
+    played = []
+    try:
+        got = _reference_run(alice, BOBS["honest"], params, 1, 0, count, played)
+    except AssertionError as exc:
+        got = (type(exc), str(exc))
+    return got, list(map(transcript_line, played))
 
 
 @pytest.mark.parametrize("order, threshold, written", [
@@ -353,14 +380,14 @@ def test_a_fault_row_raises_unless_the_monitor_tripped_first(monkeypatch, refere
                         lambda seed, start, count: table[start:start + count].copy())
     params = ProtocolParams(r=0.5, R=398.0, abort_threshold=threshold)
     alice = _zero_norm_outcome()
-    got = _outcome(_block_sums, alice, params, 3)
-    assert got == _outcome(reference, alice, params, 3)
-    sums, lines = got
+    got = _engine_outcome(alice, params, 3)
+    assert got == _reference_outcome(alice, params, 3)
+    result, lines = got
     assert len(lines) == written
     if order.index("accuse") < order.index("fault") and threshold is not None:
-        assert sums[0] == 2 and sums[6] == 1 and sums[7] is True
+        assert result.rounds == 2 and result.accuse_count == 1 and result.aborted is True
     else:
-        assert sums == (AssertionError, "sampled a zero-probability measurement branch")
+        assert result == (AssertionError, "sampled a zero-probability measurement branch")
 
 
 def test_a_sampled_zero_norm_povm_branch_raises(monkeypatch, reference):
@@ -397,7 +424,7 @@ def test_povm_probabilities_off_their_sum_raise_in_normal_rounds(monkeypatch, re
     assert kind is ValueError and "sum to 1" in message
     # checking rounds never sample the receiver's POVM, on either path
     monkeypatch.setattr(montecarlo, "_round_rows", _rows_of([0.1] + [0.5] * 7))
-    table = _block_sums(alice, _SlackBob(), params, 1, 0, 5)
+    table = play_engine(alice, _SlackBob(), params, 1, 0, 5)
     assert table == reference(alice, _SlackBob(), params, 1, 0, 5)
 
 

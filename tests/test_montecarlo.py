@@ -20,11 +20,9 @@ from trinegamble.montecarlo import (
     ExactExpectation,
     SimConfig,
     SimResult,
-    _result_from_sums,
     _round_rows,
     compare_stats,
     enumerate_exact,
-    round_player,
     simulate,
 )
 from trinegamble.protocol import CheckResult, ProtocolParams, RoundResult
@@ -40,7 +38,7 @@ from trinegamble.strategies import (
 )
 from trinegamble.qubit import LABELS, PureState, TwoQubitState, trine_states
 
-from conftest import closed_form_attack, tally
+from conftest import closed_form_attack, tally, transcript_player
 from entangled_reference import run_round as reference_round
 
 TRINE = trine_states()
@@ -97,12 +95,13 @@ def test_worker_partition_preserves_counts_and_means():
     assert (solo.win_count, solo.lose_count, solo.check_count, solo.accuse_count) == \
            (split.win_count, split.lose_count, split.check_count, split.accuse_count)
     assert solo.rounds == split.rounds == 30_000
-    # partial sums merge in a different order: only float association differs
-    assert abs(solo.mean_gain_alice - split.mean_gain_alice) < 1e-9
-    assert abs(solo.stderr - split.stderr) < 1e-9
+    # the blocks' row counts merge as integers: the totals are the same
+    assert solo.mean_gain_alice == split.mean_gain_alice
+    assert solo.stderr == split.stderr
 
 
-def test_blocks_run_on_at_most_one_process_per_cpu(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
     # an in-process stand-in for the pool: records its size, starts nothing
     sizes = []
 
@@ -120,14 +119,79 @@ def test_blocks_run_on_at_most_one_process_per_cpu(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_blocks_run_on_at_most_one_process_per_cpu(pool_sizes):
     alice = FixedStateCheat.from_angle(1.0, "a")
     many = simulate(_config(alice, 20_000, seed=5, workers=10_000))
-    assert sizes == [min(10_000, os.cpu_count() or 1)]
+    assert pool_sizes == [min(10_000, os.cpu_count() or 1)]
     two = simulate(_config(alice, 20_000, seed=5, workers=2))
     assert (many.rounds, many.win_count, many.lose_count, many.check_count,
             many.accuse_count) == (two.rounds, two.win_count, two.lose_count,
                                    two.check_count, two.accuse_count)
-    assert abs(many.mean_gain_alice - two.mean_gain_alice) < 1e-9
+    assert many.mean_gain_alice == two.mean_gain_alice
+    assert many.stderr == two.stderr
+
+
+# every family, against both receivers; the payoff -R of a penalty that is
+# not dyadic makes float partial sums depend on where the blocks split
+SPLIT_SENDERS = {
+    "honest": HonestAlice(),
+    "fixed": FixedStateCheat.from_angle(2.5, "a"),
+    "mixture": MixtureCheat(((0.4, TRINE["a"], "a"), (0.6, TRINE["c"], "b"))),
+    "aligned": aligned_pair(),
+    "singlet": singlet_mirror(),
+    "random:0": random_entangled_policy(np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("R", [7.3, 19.1])
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+@pytest.mark.parametrize("bob", ["honest", "random"])
+@pytest.mark.parametrize("sender", sorted(SPLIT_SENDERS))
+def test_results_do_not_depend_on_the_worker_count(pool_sizes, sender, bob, noise, R):
+    bob = BobStrategy.honest_optimal() if bob == "honest" else BobStrategy.random_guess()
+    params = ProtocolParams(r=0.05, R=R, noise_lambda=noise)
+    results = [simulate(_config(SPLIT_SENDERS[sender], 10_007, seed=7, params=params,
+                                workers=w, bob=bob)) for w in (1, 2, 3, 4)]
+    assert results[0].accuse_count > 0 or (sender == "honest" and noise == 0.0)
+    assert results[1:] == results[:1] * 3
+
+
+def test_the_real_pool_gives_the_one_process_result():
+    params = ProtocolParams(r=0.05, R=7.3)
+    alice = SPLIT_SENDERS["fixed"]
+    solo = simulate(_config(alice, 10_007, seed=7, params=params))
+    assert simulate(_config(alice, 10_007, seed=7, params=params, workers=2)) == solo
+
+
+def _played(alice, params, rounds, seed):
+    played = []
+    result = simulate(_config(alice, rounds, seed=seed, params=params),
+                      transcript_sink=played.extend)
+    return result, played
+
+
+@pytest.mark.parametrize("R", [77.7, 7.3])
+@pytest.mark.parametrize("sender", ["fixed", "mixture", "aligned", "random:0"])
+def test_the_mean_is_the_correctly_rounded_total(sender, R):
+    # fsum rounds the exact total of the payoffs once, as the engine must
+    for params in (ProtocolParams(r=0.05, R=R, noise_lambda=0.1),
+                   ProtocolParams(r=0.3, R=R, abort_threshold=0.05, abort_min_checks=200)):
+        result, played = _played(SPLIT_SENDERS[sender], params, 20_000, 3)
+        assert result.rounds == len(played)
+        assert result.mean_gain_alice == math.fsum(t.alice_delta for t in played) / result.rounds
+    assert result.aborted
+
+
+@pytest.mark.parametrize("sender", ["fixed", "aligned"])
+def test_totals_past_the_float_range_are_infinite(sender):
+    # a total beyond the float range is an infinity, as a float sum makes it
+    params = ProtocolParams(r=0.05, R=1.7e308)
+    result = simulate(_config(SPLIT_SENDERS[sender], 2_000, seed=1, params=params))
+    assert result.accuse_count >= 2
+    assert result.mean_gain_alice == -math.inf and math.isnan(result.stderr)
 
 
 def test_transcript_sink_is_exhaustive_and_consistent():
@@ -176,7 +240,7 @@ def test_every_strategy_combo_fits_the_draw_budget():
         if isinstance(alice, EntangledAlice):
             play = functools.partial(reference_round, alice, bob, params)
         else:
-            play = round_player(alice, bob, params)
+            play = transcript_player(alice, bob, params)
         for row in _round_rows(1000 + i, 0, 2_000):
             play(_StrictRow(row))
 
@@ -461,9 +525,13 @@ def test_single_round_has_no_spread_estimate():
     assert result.stderr == 0.0 and result.rounds == 1
 
 
-def test_a_nan_variance_is_not_reported_as_zero_spread():
-    # inf - inf: the totals carry no spread estimate, and stderr says so
-    result = _result_from_sums(2, math.inf, math.inf, 1, 1, 0, 0, False)
+@pytest.mark.parametrize("sender", ["fixed", "aligned"])
+def test_a_nan_variance_is_not_reported_as_zero_spread(sender):
+    # the sum of squared payoffs overflows, so the variance is inf - inf:
+    # the totals carry no spread estimate, and stderr says so
+    params = ProtocolParams(r=0.05, R=1e200)
+    result = simulate(_config(SPLIT_SENDERS[sender], 2_000, seed=1, params=params))
+    assert math.isfinite(result.mean_gain_alice)
     assert math.isnan(result.stderr)
 
 

@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from trinegamble.montecarlo import round_player
 from trinegamble.protocol import (
     LOSE_PAYOUT,
     WIN_PAYOUT,
@@ -34,7 +33,7 @@ from trinegamble.strategies import (
 )
 from trinegamble.qubit import BlochVector, state_from_bloch, trine_states
 
-from conftest import four_sigma, tally
+from conftest import four_sigma, tally, transcript_player
 
 PARAMS = ProtocolParams(r=0.1, R=398.0)
 
@@ -47,7 +46,7 @@ def _checks(state, claim, rng, n):
     """The check results of n checking rounds of a sender who always sends
     state and claims claim."""
     alice, bob = FixedStateCheat(state, claim), BobStrategy.honest_optimal()
-    play = round_player(alice, bob, ProtocolParams(r=0.999999, R=398.0))
+    play = transcript_player(alice, bob, ProtocolParams(r=0.999999, R=398.0))
     rounds = (play(rng) for _ in range(n))
     return [t.check for t in rounds if t.kind is RoundKind.CHECKING]
 
@@ -177,14 +176,14 @@ def test_monitor_no_checks_yet():
 
 def _play(alice, bob, params, n, seed=0):
     rng = random.Random(seed)
-    play = round_player(alice, bob, params)
+    play = transcript_player(alice, bob, params)
     return tally(play(rng) for _ in range(n))
 
 
 def test_zero_rate_means_no_checking_rounds():
     rng = random.Random(4)
-    play = round_player(HonestAlice(), BobStrategy.honest_optimal(),
-                        ProtocolParams(r=0.0, R=398.0))
+    play = transcript_player(HonestAlice(), BobStrategy.honest_optimal(),
+                             ProtocolParams(r=0.0, R=398.0))
     for _ in range(500):
         t = play(rng)
         assert t.kind is RoundKind.NORMAL and t.check is None
@@ -236,8 +235,8 @@ def test_noise_accuses_honest_sender_at_half_lambda():
 
 def test_transcript_shape_and_export():
     rng = random.Random(71)
-    play = round_player(HonestAlice(), BobStrategy.honest_optimal(),
-                        ProtocolParams(r=0.5, R=398.0))
+    play = transcript_player(HonestAlice(), BobStrategy.honest_optimal(),
+                             ProtocolParams(r=0.5, R=398.0))
     saw_check = False
     for _ in range(200):
         t = play(rng)

@@ -1,16 +1,17 @@
 """The lean separable round against the reference round: same rows, same
-tuple, same transcripts, same trip row.
+result, same transcripts, same trip row.
 
 montecarlo.round_player rules each round from the claim the sender
 committed to in prepare and bisects outcome bounds computed once per run
 (or, for a mixture's component, once per sender). The reference
-(separable_reference.run_round, installed over montecarlo.round_player)
+(separable_reference.run_round, played through conftest.play_reference)
 asks the sender to adjudicate, validates her ruling and rebuilds the
-bounds on every draw. Through montecarlo._scalar_sums both must return exactly the
-same totals, bit for bit, for every sender family, receiver, checking
-rate, noise strength, seed, offset and length; hand the sink equal
-transcripts, and so write the same transcript lines; and trip the abort
-monitor on the same row.
+bounds on every draw. For every sender family, receiver, checking rate,
+noise strength, seed, offset and length, the scalar loop must hand its
+sink the transcripts the reference plays, and so write the same
+transcript lines; its result, worked out from its row counts, must equal
+the one recomputed from the reference's transcripts, bit for bit; and
+both must trip the abort monitor on the same row.
 """
 
 import dataclasses
@@ -21,7 +22,6 @@ import numpy as np
 import pytest
 
 from trinegamble import montecarlo
-from trinegamble.montecarlo import _scalar_sums
 from trinegamble.protocol import CheckResult, ProtocolParams, transcript_line
 from trinegamble.qubit import ATOL, LABELS, outcome_bounds, trine_states
 from trinegamble.strategies import (
@@ -33,7 +33,7 @@ from trinegamble.strategies import (
 )
 
 import separable_reference
-from conftest import four_sigma
+from conftest import four_sigma, play_engine, play_reference, reference_result
 from separable_reference import sample_outcome, uniform_label
 
 TRINE = trine_states()
@@ -47,7 +47,7 @@ SENDERS = {
 }
 BOBS = {"honest": BobStrategy.honest_optimal(), "blind": BobStrategy.random_guess()}
 # no checking rounds, the showcase point, and one whose penalty is not a
-# whole number, so that the order in which payoffs are added shows in the sums
+# whole number, so that only exactly rounded totals match the reference's
 RATES = {
     0.0: ProtocolParams(r=0.0, R=398.0),
     0.05: ProtocolParams(r=0.05, R=398.0),
@@ -68,22 +68,16 @@ def _params(r, noise, monitor=None):
     return params
 
 
-def _play(alice, bob, params, seed, start, count):
-    """The scalar loop's tuple and the transcripts it wrote, on the lean round."""
-    transcripts = []
-    sums = _scalar_sums(alice, bob, params, seed, start, count, transcripts.extend)
-    return sums, transcripts
-
-
 @pytest.fixture
-def reference(monkeypatch):
-    """_play, with the reference round installed over montecarlo.round_player."""
+def reference():
+    """The reference round played one round at a time: the result recomputed
+    from its transcripts, and those."""
 
-    def play(*args):
-        with monkeypatch.context() as m:
-            m.setattr(montecarlo, "round_player",
-                      functools.partial(functools.partial, separable_reference.run_round))
-            return _play(*args)
+    def play(alice, bob, params, seed, start, count):
+        played = []
+        aborted = play_reference(functools.partial(separable_reference.run_round, alice, bob,
+                                                   params), params, seed, start, count, played)
+        return reference_result(played, aborted), played
 
     return play
 
@@ -95,10 +89,10 @@ def reference(monkeypatch):
 def test_lean_round_matches_the_reference_bit_for_bit(reference, sender, bob, r, noise):
     alice, bob, params = SENDERS[sender], BOBS[bob], _params(r, noise)
     for seed, start, count in (SHORT, OFFSET):
-        lean = _play(alice, bob, params, seed, start, count)
+        lean = play_engine(alice, bob, params, seed, start, count)
         old = reference(alice, bob, params, seed, start, count)
         assert lean == old
-        assert lean[0][0] == len(lean[1]) == count
+        assert lean[0].rounds == len(lean[1]) == count
     # a transcript line is a function of the transcript alone
     assert [transcript_line(t) for t in lean[1][:500]] == [
         transcript_line(t) for t in old[1][:500]]
@@ -114,9 +108,9 @@ def test_lean_round_matches_the_reference_bit_for_bit(reference, sender, bob, r,
 def test_lean_round_matches_the_reference_over_many_chunks(reference, sender, bob, r, noise):
     alice, bob, params = SENDERS[sender], BOBS[bob], _params(r, noise)
     assert LONG[2] > 7 * montecarlo._SCALAR_CHUNK
-    lean = _play(alice, bob, params, *LONG)
+    lean = play_engine(alice, bob, params, *LONG)
     assert lean == reference(alice, bob, params, *LONG)
-    assert lean[0][5] > 0
+    assert lean[0].check_count > 0
 
 
 @pytest.mark.parametrize("r", [0.05, 0.5])
@@ -125,31 +119,31 @@ def test_lean_round_matches_the_reference_over_many_chunks(reference, sender, bo
 def test_the_monitor_trips_on_the_same_row(reference, sender, bob, r):
     # on a noisy channel every sender is accused now and then
     alice, bob = SENDERS[sender], BOBS[bob]
-    unwatched = _play(alice, bob, _params(r, 0.1), *OFFSET)
+    unwatched = play_engine(alice, bob, _params(r, 0.1), *OFFSET)
     rounds = unwatched[1]
     accused = [i for i, t in enumerate(rounds) if t.check is CheckResult.ACCUSE]
     for monitor in ((0.0, 1), (0.25, 20)):
         params = _params(r, 0.1, monitor)
-        lean = _play(alice, bob, params, *OFFSET)
+        lean = play_engine(alice, bob, params, *OFFSET)
         assert lean == reference(alice, bob, params, *OFFSET)
-        sums, played = lean
-        assert sums[0] == len(played) and played == rounds[:len(played)]
+        result, played = lean
+        assert result.rounds == len(played) and played == rounds[:len(played)]
         if monitor == (0.0, 1):
             # trips on the first accusation
-            assert sums[7] and sums[0] == accused[0] + 1
+            assert result.aborted and result.rounds == accused[0] + 1
     # a monitor that cannot trip watches every round and changes nothing
-    held = _play(alice, bob, _params(r, 0.1, (1.0, 1)), *OFFSET)
-    assert held[0][:7] == unwatched[0][:7] and not held[0][7] and held[1] == rounds
+    held = play_engine(alice, bob, _params(r, 0.1, (1.0, 1)), *OFFSET)
+    assert held[0] == unwatched[0] and not held[0].aborted and held[1] == rounds
 
 
 def test_the_grid_trips_and_holds():
     # the second monitor above trips for a far cheat and holds for an
     # honest sender
     params = _params(0.5, 0.1, (0.25, 20))
-    honest = _play(SENDERS["honest"], BOBS["honest"], params, *OFFSET)[0]
-    far = _play(SENDERS["fixed-far"], BOBS["honest"], params, *OFFSET)[0]
-    assert not honest[7] and honest[6] > 0 and honest[0] == OFFSET[2]
-    assert far[7] and far[5] >= 20 and far[0] < OFFSET[2]
+    honest = play_engine(SENDERS["honest"], BOBS["honest"], params, *OFFSET)[0]
+    far = play_engine(SENDERS["fixed-far"], BOBS["honest"], params, *OFFSET)[0]
+    assert not honest.aborted and honest.accuse_count > 0 and honest.rounds == OFFSET[2]
+    assert far.aborted and far.check_count >= 20 and far.rounds < OFFSET[2]
 
 
 # ---------------------------------------------------------------------------

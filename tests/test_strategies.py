@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trinegamble.montecarlo import _compile_entangled_table, round_player
+from trinegamble.montecarlo import _compile_entangled_table
 from trinegamble.protocol import ProtocolParams, RoundKind, RoundResult, received_state
 from trinegamble.qubit import (
     LABELS,
@@ -32,7 +32,7 @@ from trinegamble.strategies import (
     singlet_mirror,
 )
 
-from conftest import four_sigma, random_basis, random_pair
+from conftest import four_sigma, random_basis, random_pair, transcript_player
 
 TRINE = trine_states()
 
@@ -66,7 +66,8 @@ def test_honest_preparation_is_uniform_and_truthful(rng):
 
 def test_honest_adjudication_is_truthful(rng):
     # each round is ruled by the claim she committed to: the label she sent
-    play = round_player(HonestAlice(), BobStrategy.honest_optimal(), ProtocolParams(r=0.5, R=398.0))
+    play = transcript_player(HonestAlice(), BobStrategy.honest_optimal(),
+                             ProtocolParams(r=0.5, R=398.0))
     results = set()
     for _ in range(300):
         t = play(rng)
@@ -94,7 +95,7 @@ def test_fixed_cheat_descriptor_encodes_angle():
 
 def test_fixed_cheat_always_claims_its_label(rng):
     cheat = FixedStateCheat(TRINE["b"], claim="a")
-    play = round_player(cheat, BobStrategy.random_guess(), ProtocolParams(r=0.5, R=398.0))
+    play = transcript_player(cheat, BobStrategy.random_guess(), ProtocolParams(r=0.5, R=398.0))
     guesses = set()
     for _ in range(300):
         t = play(rng)
@@ -208,7 +209,8 @@ def test_random_entangled_policies_are_valid_and_reproducible():
 def _guesses(bob, r, rng, n, kind=RoundKind.NORMAL):
     """The guesses of the rounds of the given kind among n rounds against a
     sender who always sends the trine state a and claims it."""
-    play = round_player(FixedStateCheat(TRINE["a"], "a"), bob, ProtocolParams(r=r, R=398.0))
+    play = transcript_player(FixedStateCheat(TRINE["a"], "a"), bob,
+                             ProtocolParams(r=r, R=398.0))
     return [t.guess for t in (play(rng) for _ in range(n)) if t.kind is kind]
 
 
@@ -244,8 +246,8 @@ def test_a_receiver_is_read_only_through_his_povm(monkeypatch, noise):
 
     monkeypatch.setattr("trinegamble.montecarlo.check_fail_probability", recording)
     for bob in (BobStrategy.honest_optimal(), BobStrategy.random_guess()):
-        stub = round_player(cheat, _PovmOnly(bob.measurement_povm()), params)
-        play = round_player(cheat, bob, params)
+        stub = transcript_player(cheat, _PovmOnly(bob.measurement_povm()), params)
+        play = transcript_player(cheat, bob, params)
         rng_stub, rng_bob = random.Random(3), random.Random(3)
         assert [stub(rng_stub) for _ in range(500)] == [play(rng_bob) for _ in range(500)]
     want = received_state(TRINE["c"], noise)
@@ -437,7 +439,7 @@ def test_all_strategies_pickle():
     honest = BobStrategy.honest_optimal()
 
     def rounds(alice, bob):
-        play, rng = round_player(alice, bob, params), random.Random(9)
+        play, rng = transcript_player(alice, bob, params), random.Random(9)
         return [play(rng) for _ in range(200)]
 
     def compile_table(alice):

@@ -224,7 +224,7 @@ def test_params_equal_in_value_but_not_in_text_compile_apart(first, second):
 def test_a_cached_table_is_read_only():
     table = _entangled_table(_zero_width_sender(), HONEST, PARAMS)
     arrays = [v for v in table if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8 and table.faulty is not None
+    assert len(arrays) == 5 and table.faulty is not None
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
@@ -237,5 +237,4 @@ def test_two_workers_count_what_one_counts(bob):
     _entangled_table(alice, bob, PARAMS)  # the workers inherit or rebuild the same table
     one, two = (simulate(SimConfig(rounds=30_001, seed=4, params=PARAMS, alice=alice, bob=bob,
                                    workers=w)) for w in (1, 2))
-    counts = ("rounds", "win_count", "lose_count", "check_count", "accuse_count", "aborted")
-    assert [getattr(one, c) for c in counts] == [getattr(two, c) for c in counts]
+    assert one == two

@@ -3,10 +3,10 @@ list per chunk of rounds played, in round order.
 
 Joined, the lists are the run's rounds as a per-round reference plays
 them (round_player for a separable sender, entangled_reference.run_round
-for an entangled one). With the abort monitor on, the tripping round is
-the last item handed on. A round that raises is not handed on, and every
-round before it is. The sink is called once per chunk played, never with
-an empty list.
+for an entangled one, each through conftest.play_reference). With the
+abort monitor on, the tripping round is the last item handed on. A round
+that raises is not handed on, and every round before it is. The sink is
+called once per chunk played, never with an empty list.
 
 The entangled engine's chunk is cut to _SMALL_CHUNK rows here, so that
 the reference plays runs of several chunks quickly.
@@ -21,13 +21,7 @@ import pytest
 
 from trinegamble import montecarlo
 from trinegamble.montecarlo import _CHUNK, _SCALAR_CHUNK, SimConfig, round_player, simulate
-from trinegamble.protocol import (
-    CheckResult,
-    MonitorDecision,
-    ProtocolParams,
-    RoundKind,
-    abort_monitor,
-)
+from trinegamble.protocol import ProtocolParams, RoundKind
 from trinegamble.qubit import LABELS, PureState, TwoQubitState, trine_states
 from trinegamble.strategies import (
     BobStrategy,
@@ -38,6 +32,7 @@ from trinegamble.strategies import (
 )
 
 import entangled_reference
+from conftest import play_reference, reference_result, transcript_player
 
 TRINE = trine_states()
 HONEST_BOB = BobStrategy.honest_optimal()
@@ -45,7 +40,7 @@ _SMALL_CHUNK = 1 << 10
 # (sender, the per-round reference that plays her, the engine's chunk size,
 # noise); the entangled reference takes no channel noise
 ENGINES = {
-    "separable": (HonestAlice(), round_player, _SCALAR_CHUNK, 0.1),
+    "separable": (HonestAlice(), transcript_player, _SCALAR_CHUNK, 0.1),
     "entangled": (aligned_pair(), functools.partial(functools.partial,
                                                     entangled_reference.run_round),
                   _SMALL_CHUNK, 0.0),
@@ -60,22 +55,10 @@ def engine(request, monkeypatch):
 
 def _per_round(player, alice, params, seed, count):
     """The run's transcripts played one round at a time, stopping at the
-    round that trips the monitor."""
-    play = player(alice, HONEST_BOB, params)
-    rng = montecarlo._RoundRng()
+    round that trips the monitor, and the result recomputed from them."""
     played = []
-    checks = accs = 0
-    for row in montecarlo._round_rows(seed, 0, count).tolist():
-        rng.row, rng.pos = row, 0
-        t = play(rng)
-        played.append(t)
-        if t.kind is RoundKind.CHECKING:
-            checks += 1
-            accs += t.check is CheckResult.ACCUSE
-            if (params.abort_threshold is not None
-                    and abort_monitor(checks, accs, params) is MonitorDecision.ABORT):
-                break
-    return played
+    aborted = play_reference(player(alice, HONEST_BOB, params), params, seed, 0, count, played)
+    return played, reference_result(played, aborted)
 
 
 def _chunks(alice, params, seed, count):
@@ -93,7 +76,7 @@ def test_the_chunks_join_to_the_rounds_played_one_at_a_time(engine):
     assert [len(c) for c in chunks] == [size, size, 123]
     assert all(type(c) is list for c in chunks)
     joined = [t for c in chunks for t in c]
-    assert joined == _per_round(player, alice, params, 7, count)
+    assert (joined, result) == _per_round(player, alice, params, 7, count)
     assert result.rounds == len(joined) and not result.aborted
 
 
@@ -101,14 +84,14 @@ def test_the_tripping_round_is_the_last_item_handed_on(engine):
     alice, player, size, noise = engine
     # a monitor that may trip only once about 1.5 chunks have played, with a
     # separable sender who is accused on most checks
-    if player is round_player:
+    if player is transcript_player:
         alice = FixedStateCheat.from_angle(2.5, "a")
     params = ProtocolParams(r=0.5, R=398.0, noise_lambda=noise, abort_threshold=0.0,
                             abort_min_checks=3 * size // 4)
     result, chunks = _chunks(alice, params, 11, 4 * size)
     assert result.aborted and len(chunks) == 2 and len(chunks[0]) == size
     joined = [t for c in chunks for t in c]
-    assert joined == _per_round(player, alice, params, 11, 4 * size)
+    assert (joined, result) == _per_round(player, alice, params, 11, 4 * size)
     assert result.rounds == len(joined) and size < len(joined) < 2 * size
     last = joined[-1]
     assert last.kind is RoundKind.CHECKING
@@ -145,11 +128,8 @@ def test_a_faulty_entangled_row_hands_on_every_earlier_row_then_raises(monkeypat
     assert [len(c) for c in chunks] == [_SMALL_CHUNK, 5]
     played = []
     with pytest.raises(AssertionError, match="zero-probability measurement"):
-        play = entangled_reference.run_round
-        rng = montecarlo._RoundRng()
-        for row in montecarlo._round_rows(3, 0, 3 * _SMALL_CHUNK).tolist():
-            rng.row, rng.pos = row, 0
-            played.append(play(alice, HONEST_BOB, params, rng))
+        play_reference(functools.partial(entangled_reference.run_round, alice, HONEST_BOB, params),
+                       params, 3, 0, 3 * _SMALL_CHUNK, played)
     assert [t for c in chunks for t in c] == played
 
 
@@ -167,8 +147,8 @@ def test_a_faulty_entangled_first_row_hands_on_nothing(monkeypatch):
 def test_a_separable_round_that_raises_hands_on_every_earlier_round(monkeypatch):
     fault_at = _SCALAR_CHUNK + 5
 
-    def failing_player(alice, bob, params):
-        play = round_player(alice, bob, params)
+    def failing_player(alice, table, params):
+        play = round_player(alice, table, params)
         seen = []
 
         def failing(rng):
@@ -186,8 +166,8 @@ def test_a_separable_round_that_raises_hands_on_every_earlier_round(monkeypatch)
         simulate(SimConfig(rounds=3 * _SCALAR_CHUNK, seed=5, params=params, alice=HonestAlice(),
                            bob=HONEST_BOB), transcript_sink=chunks.append)
     assert [len(c) for c in chunks] == [_SCALAR_CHUNK, 5]
-    assert [t for c in chunks for t in c] == _per_round(round_player, HonestAlice(), params, 5,
-                                                        fault_at)
+    assert [t for c in chunks for t in c] == _per_round(transcript_player, HonestAlice(), params,
+                                                        5, fault_at)[0]
 
 
 @pytest.mark.parametrize("engine, size", [("separable", _SCALAR_CHUNK), ("entangled", _CHUNK)])
