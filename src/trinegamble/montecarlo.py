@@ -1,10 +1,12 @@
 """Monte Carlo driver and exact expectation oracle for the gambling game.
 
 Reproducibility scheme: round i consumes at most eight uniforms, taken
-from row i of an implicit Philox(key=seed) matrix of shape (rounds, 8).
-Any contiguous block of rows regenerates bit-identically from the counter
-offset, so every round's randomness is a pure function of (seed, round
-index) no matter how rounds are partitioned. simulate splits a run into
+from row i of an implicit Philox(key=seed) matrix of shape (rounds, 8) of
+64-bit words; word w stands for the uniform u = (w >> 11) * 2**-53, as
+numpy's Generator.random makes it. Any contiguous block of rows
+regenerates bit-identically from the counter offset, so every round's
+randomness is a pure function of (seed, round index) no matter how rounds
+are partitioned. simulate splits a run into
 ``workers`` contiguous blocks and plays them on at most os.cpu_count()
 processes. A block counts the rounds that land on each row of the sender's
 table, the blocks' counts add as integers, and _result works the totals out
@@ -38,11 +40,16 @@ the pass counts numpy would reach. An entangled sender's table
 or blind guess x her outcome; checking round: guess x her outcome x pass
 or accuse). numpy plays a chunk of its rows at once and counts the
 branch each lands on, as played one uniform at a time would
-(tests/entangled_reference.py). Each row does only the work of its own
-round kind, and finds the receiver's outcome with one comparison per
-interval end. With the table compiled once per key, the benchmark's
-entangled-scan workload at r = 0.05 went from 5.33M to 6.52M rounds/s
-(BENCH_20.json). With the abort monitor on, a chunk's checking rows go
+(tests/entangled_reference.py). It reads the Philox words themselves,
+never their floats: the table holds each threshold t as the integer
+T = ceil(t * 2**53), clamped to [0, 2**53], and u < t exactly when
+(w >> 11) < T; a guess int(u * 3.0) is the count of two such cut-offs at
+or below w >> 11. Each row does only the work of its own round kind, and
+finds the receiver's outcome with one comparison per interval end. With
+the table compiled once per key, the benchmark's entangled-scan workload
+at r = 0.05 went from 5.33M to 6.52M rounds/s (BENCH_20.json), and
+reading words in place of floats took it from 6.70M to 8.36M
+(BENCH_24.json). With the abort monitor on, a chunk's checking rows go
 through abort_monitor in order and the chunk ends at the tripping row.
 
 Both engines read the receiver only through measurement_povm(), never
@@ -62,8 +69,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -113,6 +121,13 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for field in ("rounds", "seed", "workers"):
+            # an int or numpy integer; a float such as 1.5 is not silently truncated
+            try:
+                object.__setattr__(self, field, operator.index(getattr(self, field)))
+            except TypeError:
+                raise ValueError(f"{field} must be an integer, "
+                                 f"got {getattr(self, field)!r}") from None
         if self.rounds < 1:
             raise ValueError(f"need at least one round, got {self.rounds!r}")
         if not 0 <= self.seed < 2 ** 64:
@@ -151,9 +166,18 @@ class _RoundRng:
         return v
 
 
+def _philox(seed: int, start: int) -> np.random.Philox:
+    return np.random.Philox(key=seed, counter=(start * DRAWS_PER_ROUND) // 4)
+
+
 def _round_rows(seed: int, start: int, count: int) -> np.ndarray:
-    bits = np.random.Philox(key=seed, counter=(start * DRAWS_PER_ROUND) // 4)
-    return np.random.Generator(bits).random((count, DRAWS_PER_ROUND))
+    return np.random.Generator(_philox(seed, start)).random((count, DRAWS_PER_ROUND))
+
+
+def _round_words(seed: int, start: int, count: int) -> np.ndarray:
+    """The Philox words of _round_rows' uniforms: u = (w >> 11) * 2**-53."""
+    words = _philox(seed, start).random_raw(count * DRAWS_PER_ROUND)
+    return words.reshape(count, DRAWS_PER_ROUND)
 
 
 class _SeparableTable(NamedTuple):
@@ -315,6 +339,26 @@ def _scalar_counts(alice, table, params, seed, start, count, sink=None):
 _NORMAL = 2 * len(LABELS)
 
 
+def _word_threshold(t: float) -> int:
+    """The count of the stream's uniforms below t: a word w, whose uniform
+    is u = (w >> 11) * 2**-53, has u < t exactly when (w >> 11) < the count,
+    and u >= t when not. t * 2**53 is exact below 1.0. A NaN threshold, which
+    no uniform is either below or at or above, is rejected."""
+    if math.isnan(t):
+        raise ValueError("a branch threshold is NaN")
+    return math.ceil(min(max(t, 0.0), 1.0) * 2.0 ** 53)
+
+
+def _word_thresholds(values) -> np.ndarray:
+    return _frozen(np.array([_word_threshold(v) for v in values], dtype=np.uint64))
+
+
+# int(u * 3.0) is the count of these at or below w >> 11: the least w >> 11
+# whose uniform gives int(u * 3.0) >= 1, then >= 2, in float arithmetic
+_THIRDS = tuple(bisect_left(range(1 << 53), k, key=lambda x: int(x * 2.0 ** -53 * 3.0))
+                for k in (1, 2))
+
+
 class _BranchTable(NamedTuple):
     """An entangled sender and a receiver as a finite branch tree.
 
@@ -322,12 +366,14 @@ class _BranchTable(NamedTuple):
     blind guess has index x and the sender's outcome is j; branch
     _NORMAL + 2 * (2 * g + j) + fail is a checking round on guess g.
     exact_rows gives each branch's (name, probability, payoff) and
-    transcripts the round a row on it plays; the arrays are what
-    _table_branches compares the uniforms with and reads back.
+    transcripts the round a row on it plays. Each threshold t that a round's
+    uniform is compared with is held as _word_threshold(t), which
+    _table_branches compares the Philox words with; p0 > 0 exactly when its
+    word threshold is.
     """
 
-    r: float
-    bounds: Optional[tuple]  # sample_outcome's interval ends; None for a blind receiver
+    r: int  # a round is a checking round below it
+    bounds: tuple  # sample_outcome's interval ends; for a blind receiver _THIRDS
     p0_normal: np.ndarray  # P(j = 0) per receiver outcome or blind guess
     p0_local: np.ndarray  # P(j = 0) per guess, on the unmeasured pair
     p_fail: np.ndarray  # check failure per (guess, j), at 2 * g + j
@@ -451,8 +497,9 @@ def _compile_entangled_table(psi, basis, claims, povm, params) -> _BranchTable:
 
     faulty = [f is not None for f in faults]
     return _BranchTable(
-        r, bounds, _frozen(p0_normal), _frozen(p0_local),
-        _frozen([u[4] for u in unmeasured]), tuple(exact_rows), tuple(transcripts),
+        _word_threshold(r), _THIRDS if bounds is None else tuple(map(_word_threshold, bounds)),
+        _word_thresholds(p0_normal), _word_thresholds(p0_local),
+        _word_thresholds([u[4] for u in unmeasured]), tuple(exact_rows), tuple(transcripts),
         _frozen([t.check is CheckResult.ACCUSE for t in transcripts]), tuple(faults),
         _frozen(faulty) if any(faulty) else None)
 
@@ -464,32 +511,34 @@ def _frozen(values) -> np.ndarray:
     return a
 
 
-def _table_branches(t: _BranchTable, u: np.ndarray) -> np.ndarray:
-    """The branch each row of uniforms plays: column 0 the round kind, 1 the
-    guess or the receiver's outcome, 2 the sender's outcome j, and 3 the
-    check, which reads column 2 instead when p0 == 0 (the sender's outcome
-    then draws nothing).
+def _table_branches(t: _BranchTable, w: np.ndarray) -> np.ndarray:
+    """The branch each row of Philox words plays, as uint8: word 0 gives the
+    round kind, 1 the guess or the receiver's outcome, 2 the sender's outcome
+    j, and 3 the check, which reads word 2 instead when p0 == 0 (the sender's
+    outcome then draws nothing). Each word is read as w >> 11 against the
+    table's word thresholds, so a row lands where its uniforms would.
 
     Every row is played as a normal round first; then only the checking
-    rows (column 0 below r) are gathered and played again as checking
-    rounds, so no row works out the branch of the other round kind."""
-    if t.bounds is None:
-        x = (u[:, 1] * 3.0).astype(np.intp)
-    else:
+    rows are gathered and played again as checking rounds, so no row works
+    out the branch of the other round kind."""
+    outcome = w[:, 1] >> 11
+    x = np.zeros(len(w), dtype=np.uint8)
+    for b in t.bounds:
         # the count of interval ends at or below the uniform: searchsorted's
         # side="right" index into the non-decreasing bounds, at a fraction of its cost
-        col = u[:, 1]
-        x = np.zeros(len(col), dtype=np.intp)
-        for b in t.bounds:
-            x += col >= b
-    branch = 2 * x + (u[:, 2] >= t.p0_normal[x])
-    rows = np.flatnonzero(u[:, 0] < t.r)
-    c = u[rows, 1:4]
-    guess = (c[:, 0] * 3.0).astype(np.intp)
+        x += outcome >= b
+    branch = x + x
+    branch += (w[:, 2] >> 11) >= t.p0_normal[x]
+    # r < 1, so its word cut-off t.r << 11 is a uint64 and word 0 needs no shift
+    rows = np.flatnonzero(w[:, 0] < t.r << 11)
+    c = w[rows, 1:4] >> 11
+    guess = np.zeros(len(rows), dtype=np.uint8)
+    for k in _THIRDS:
+        guess += c[:, 0] >= k
     p0 = t.p0_local[guess]
     local = 2 * guess + (c[:, 1] >= p0)
-    check_u = np.where(p0 > 0.0, c[:, 2], c[:, 1])
-    branch[rows] = _NORMAL + 2 * local + (check_u < t.p_fail[local])
+    check = np.where(p0 > 0, c[:, 2], c[:, 1])
+    branch[rows] = _NORMAL + 2 * local + (check < t.p_fail[local])
     return branch
 
 
@@ -523,7 +572,7 @@ def _table_counts(t: _BranchTable, seed, start, count, sink=None, params=None):
     done = 0
     while done < count and not aborted:
         n = min(_CHUNK, count - done)
-        branch = _table_branches(t, _round_rows(seed, start + done, n))
+        branch = _table_branches(t, _round_words(seed, start + done, n))
         fault = None
         if t.faulty is not None:
             hit = t.faulty[branch]

@@ -1,6 +1,10 @@
 """Shared helpers: tolerance-free randomness plumbing, binomial bars,
 round counts and results recomputed from transcripts, and the loop that
-plays a reference round one row of uniforms at a time."""
+plays a reference round one row of uniforms at a time.
+
+The reference reads montecarlo._round_words, the Philox words the branch
+table compares, and turns each into its uniform as numpy does, so a test
+that swaps in other words drives the engine and the reference alike."""
 
 import math
 import random
@@ -22,6 +26,28 @@ from trinegamble.protocol import (
 )
 from trinegamble.qubit import LABELS, PureState, TwoQubitState
 from trinegamble.strategies import EntangledAlice, in_plane_state
+
+
+def uniforms(words) -> np.ndarray:
+    """The uniforms of Philox words, (w >> 11) * 2**-53, as Generator.random
+    makes them."""
+    return (np.asarray(words, dtype=np.uint64) >> 11) * 2.0 ** -53
+
+
+def words_of(u) -> np.ndarray:
+    """The word of the greatest uniform the stream can produce at or below
+    each of u: a uniform it can produce maps to its own word, with the 11
+    bits the uniform drops set to zero."""
+    return np.floor(np.asarray(u, dtype=float) * 2.0 ** 53).astype(np.uint64) << 11
+
+
+def words_beside(t: float) -> list:
+    """The ends of the word range, and the words on either side of t's word
+    threshold: the first and last word of the uniform just below it, and of
+    the first uniform at or above it."""
+    first = montecarlo._word_threshold(t) << 11
+    near = [first - 2048, first - 1, first, first + 2047]
+    return [0, 2 ** 64 - 1] + [w for w in near if 0 <= w < 2 ** 64]
 
 
 def four_sigma(p: float, n: int) -> float:
@@ -105,7 +131,7 @@ def play_reference(play, params, seed, start, count, played) -> bool:
     whether one did; a round that raises is not appended."""
     rng = montecarlo._RoundRng()
     checks = accs = 0
-    for row in montecarlo._round_rows(seed, start, count).tolist():
+    for row in uniforms(montecarlo._round_words(seed, start, count)).tolist():
         rng.row, rng.pos = row, 0
         t = play(rng)
         played.append(t)

@@ -57,6 +57,7 @@ from conftest import (
     play_reference,
     random_pure,
     reference_result,
+    words_of,
 )
 
 TRINE = trine_states()
@@ -93,9 +94,9 @@ SENDERS = {
 
 def test_the_blank_outcome_sender_exercises_the_shifted_check():
     table = _entangled_table(SENDERS["blank-first-outcome"], BOBS["honest"], PARAMS[0.5])
-    assert np.all(table.p0_local == 0.0) and np.all(table.p0_normal == 0.0)
+    assert np.all(table.p0_local == 0) and np.all(table.p0_normal == 0)
     reached = table.p_fail[1::2]  # the checks on outcome 1, the only one drawn
-    assert np.all((0.0 < reached) & (reached < 1.0))
+    assert np.all((0 < reached) & (reached < 2 ** 53))
 
 
 def _reference_run(alice, bob, params, seed, start, count, played):
@@ -236,7 +237,7 @@ def _transcript_branch(alice, t):
 def _rows_match(reference, alice, bob, params, seed, start, count):
     _, played = reference(alice, bob, params, seed, start, count)
     branch = _table_branches(_entangled_table(alice, bob, params),
-                             montecarlo._round_rows(seed, start, count))
+                             montecarlo._round_words(seed, start, count))
     assert branch.tolist() == [_transcript_branch(alice, t) for t in played]
     return branch
 
@@ -259,14 +260,14 @@ def test_each_row_plays_the_branch_its_scalar_round_names(reference, sender, bob
 @pytest.mark.parametrize("bob", sorted(BOBS))
 @pytest.mark.parametrize("sender", ROW_SENDERS)
 def test_an_all_checking_chunk_matches_row_by_row(monkeypatch, reference, sender, bob):
-    real = montecarlo._round_rows
+    real = montecarlo._round_words
 
     def all_checking(seed, start, count):
-        u = real(seed, start, count)
-        u[:, 0] = 0.0
-        return u
+        w = real(seed, start, count)
+        w[:, 0] = 0  # the word of the uniform 0.0
+        return w
 
-    monkeypatch.setattr(montecarlo, "_round_rows", all_checking)
+    monkeypatch.setattr(montecarlo, "_round_words", all_checking)
     alice, params = _telling(SENDERS[sender]), PARAMS[0.05]
     branch = _rows_match(reference, alice, BOBS[bob], params, BIG_SEED, 77, 3_000)
     assert (branch >= _NORMAL).all()
@@ -306,13 +307,15 @@ def test_every_entangled_run_takes_the_table(monkeypatch):
 
 
 def _rows_of(row):
-    def round_rows(seed, start, count):
-        return np.tile(np.array(row, dtype=float), (count, 1))
-    return round_rows
+    """A stand-in for _round_words whose every row holds the words of the
+    uniforms in row (conftest.words_of)."""
+    def round_words(seed, start, count):
+        return np.tile(words_of(row), (count, 1))
+    return round_words
 
 
 def _same_failure(monkeypatch, reference, alice, bob, params, row):
-    monkeypatch.setattr(montecarlo, "_round_rows", _rows_of(row))
+    monkeypatch.setattr(montecarlo, "_round_words", _rows_of(row))
     errors = []
     for play in (play_engine, reference):
         with pytest.raises((AssertionError, ValueError)) as info:
@@ -340,7 +343,8 @@ def test_a_sampled_zero_norm_measurement_branch_raises(monkeypatch, reference):
 
 
 # rows for _zero_norm_outcome at r = 0.5: a normal round the receiver wins,
-# a checking round on guess a that accuses, and one that hits the zero-norm outcome
+# a checking round on guess a that accuses, and one that hits the zero-norm
+# outcome; 0.9 and 0.1 stand for the stream's uniforms just below them
 ROWS = {"normal": [0.9] + [0.5] * 7, "accuse": [0.0, 0.1, 0.5, 0.1] + [0.5] * 4,
         "fault": [0.0] * 8}
 
@@ -375,8 +379,8 @@ def _reference_outcome(alice, params, count):
 ])
 def test_a_fault_row_raises_unless_the_monitor_tripped_first(monkeypatch, reference, order,
                                                              threshold, written):
-    table = np.array([ROWS[name] for name in order])
-    monkeypatch.setattr(montecarlo, "_round_rows",
+    table = words_of([ROWS[name] for name in order])
+    monkeypatch.setattr(montecarlo, "_round_words",
                         lambda seed, start, count: table[start:start + count].copy())
     params = ProtocolParams(r=0.5, R=398.0, abort_threshold=threshold)
     alice = _zero_norm_outcome()
@@ -423,7 +427,7 @@ def test_povm_probabilities_off_their_sum_raise_in_normal_rounds(monkeypatch, re
                                   [0.9] + [0.5] * 7)
     assert kind is ValueError and "sum to 1" in message
     # checking rounds never sample the receiver's POVM, on either path
-    monkeypatch.setattr(montecarlo, "_round_rows", _rows_of([0.1] + [0.5] * 7))
+    monkeypatch.setattr(montecarlo, "_round_words", _rows_of([0.1] + [0.5] * 7))
     table = play_engine(alice, _SlackBob(), params, 1, 0, 5)
     assert table == reference(alice, _SlackBob(), params, 1, 0, 5)
 
@@ -528,6 +532,10 @@ def test_a_fully_depolarizing_channel_leaves_the_receiver_nothing():
     params = ProtocolParams(r=0.3, R=398.0, noise_lambda=1.0)
     for alice in (SENDERS["aligned"], SENDERS["random:4"]):
         table = _entangled_table(alice, BOBS["honest"], params)
-        assert np.allclose(np.diff((0.0, *table.bounds, 1.0)), 1.0 / 3.0, atol=1e-15)
-        assert np.allclose(table.p0_normal, table.p0_local[[LABELS.index(g) for g in LABELS]])
-        assert np.allclose(table.p_fail, 0.5)
+        # each word threshold read back as the least uniform at or above its float
+        bounds = np.array(table.bounds) * 2.0 ** -53
+        assert np.allclose(np.diff((0.0, *bounds, 1.0)), 1.0 / 3.0, atol=1e-15)
+        p0_local = table.p0_local * 2.0 ** -53
+        assert np.allclose(table.p0_normal * 2.0 ** -53,
+                           p0_local[[LABELS.index(g) for g in LABELS]])
+        assert np.allclose(table.p_fail * 2.0 ** -53, 0.5)

@@ -65,6 +65,25 @@ def test_sim_config_validation():
         _config(HonestAlice(), 10, workers=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", 1.9), ("seed", 1.0), ("seed", "1"), ("rounds", 2.5),
+    ("rounds", 10.0), ("workers", 2.5), ("workers", np.float64(2.0)),
+])
+def test_sim_config_takes_only_integers(field, value):
+    # a fractional seed used to play the truncated seed's stream, and a
+    # fractional round or worker count to fail deep in the engine
+    with pytest.raises(ValueError, match=field):
+        _config(HonestAlice(), **{"rounds": 10, field: value})
+
+
+def test_sim_config_takes_numpy_integers_as_ints():
+    config = SimConfig(rounds=np.int64(2_000), seed=np.uint64(7), params=PARAMS,
+                       alice=aligned_pair(), bob=BobStrategy.honest_optimal(),
+                       workers=np.int32(1))
+    assert all(type(v) is int for v in (config.rounds, config.seed, config.workers))
+    assert simulate(config) == simulate(_config(aligned_pair(), 2_000, seed=7))
+
+
 # ---------------------------------------------------------------------------
 # deterministic replay
 

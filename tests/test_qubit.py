@@ -30,7 +30,13 @@ from trinegamble.qubit import (
     state_from_bloch,
     trine_states,
 )
-from trinegamble.montecarlo import _NORMAL, _entangled_table, _round_rows, _table_branches
+from trinegamble.montecarlo import (
+    _NORMAL,
+    _entangled_table,
+    _round_words,
+    _table_branches,
+    _word_threshold,
+)
 from trinegamble.protocol import ProtocolParams
 from trinegamble.strategies import BobStrategy, EntangledAlice
 
@@ -303,9 +309,9 @@ def _checking_outcomes(alice, n, seed):
     """The sender's outcome j in n checking rounds played from her
     compiled branch table, with the table."""
     table = _entangled_table(alice, BobStrategy.random_guess(), ProtocolParams(r=0.5, R=398.0))
-    u = _round_rows(seed, 0, n)
-    u[:, 0] = 0.0  # every row a checking round
-    return (_table_branches(table, u) - _NORMAL) // 2 % 2, table
+    w = _round_words(seed, 0, n)
+    w[:, 0] = 0  # every row a checking round: the word of the uniform 0.0
+    return (_table_branches(table, w) - _NORMAL) // 2 % 2, table
 
 
 def test_local_collapse_on_singlet_anticorrelates():
@@ -332,7 +338,8 @@ def test_local_collapse_on_product_state_is_inert():
     alice = EntangledAlice(psi, {g: basis for g in LABELS}, _CLAIM_OUTCOME)
     j, table = _checking_outcomes(alice, 5_000, 3)
     assert not j.any()
-    assert table.p_fail[0] == check_fail_probability(branches[0][1], "a") == pytest.approx(0.75)
+    p_fail = check_fail_probability(branches[0][1], "a")
+    assert p_fail == pytest.approx(0.75) and table.p_fail[0] == _word_threshold(p_fail)
 
 
 def test_local_collapse_requires_orthonormal_basis():
@@ -352,9 +359,10 @@ def test_local_collapse_sampling_matches_branch_weights():
     n = 50_000
     j, table = _checking_outcomes(alice, n, 1234)
     for g in range(3):
-        assert table.p0_local[g] == branches[0][0]
+        assert table.p0_local[g] == _word_threshold(branches[0][0])
         for k in (0, 1):
-            assert table.p_fail[2 * g + k] == check_fail_probability(branches[k][1], "ab"[k])
+            assert table.p_fail[2 * g + k] == _word_threshold(
+                check_fail_probability(branches[k][1], "ab"[k]))
     p0 = branches[0][0]
     assert abs(np.mean(j == 0) - p0) < four_sigma(p0, n)
 
@@ -455,11 +463,11 @@ def test_remote_collapse_sampling_matches_branch_weights():
     basis = {g: (t[g], t[g].orthogonal()) for g in LABELS}
     alice = EntangledAlice(psi, basis, _CLAIM_OUTCOME)
     table = _entangled_table(alice, BobStrategy.honest_optimal(), ProtocolParams(r=0.0, R=398.0))
-    assert table.bounds == outcome_bounds([p for p, _ in branches])
+    assert table.bounds == tuple(map(_word_threshold, outcome_bounds([p for p, _ in branches])))
     for k, (label, (_, kept)) in enumerate(zip(povm.labels, branches)):
-        assert table.p0_normal[k] == basis[label][0].fidelity(kept)
+        assert table.p0_normal[k] == _word_threshold(basis[label][0].fidelity(kept))
     n = 60_000
-    k = _table_branches(table, _round_rows(55, 0, n)) // 2
+    k = _table_branches(table, _round_words(55, 0, n)) // 2
     for i in range(3):
         p = branches[i][0]
         assert abs(np.mean(k == i) - p) < four_sigma(p, n)

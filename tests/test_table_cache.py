@@ -14,13 +14,22 @@ from trinegamble.montecarlo import (
     _cached_entangled_table,
     _compile_entangled_table,
     _entangled_table,
-    _round_rows,
+    _round_words,
     _table_branches,
+    _word_threshold,
     enumerate_exact,
     simulate,
 )
 from trinegamble.protocol import ProtocolParams
-from trinegamble.qubit import LABELS, Povm, PureState, TwoQubitState, trine_states
+from trinegamble.qubit import (
+    LABELS,
+    Povm,
+    PureState,
+    TwoQubitState,
+    outcome_bounds,
+    remote_povm_branches,
+    trine_states,
+)
 from trinegamble.strategies import (
     BobStrategy,
     EntangledAlice,
@@ -28,6 +37,8 @@ from trinegamble.strategies import (
     in_plane_state,
     random_entangled_policy,
 )
+
+from conftest import uniforms, words_beside
 
 TRINE = trine_states()
 HONEST = BobStrategy.honest_optimal()
@@ -98,13 +109,16 @@ def _zero_width_table():
     return _uncached(_zero_width_sender(), HONEST, PARAMS)
 
 
-def _edge_uniforms(bounds):
-    """Every bound, the floats on either side of it, and the ends of [0, 1)."""
-    u = [0.0, np.nextafter(1.0, 0.0)]
-    for b in bounds:
-        u += [b, np.nextafter(b, -1.0), np.nextafter(b, 2.0)]
-    u = np.array(u)
-    return u[(u >= 0.0) & (u < 1.0)]
+def _honest_bounds(alice):
+    """The honest receiver's interval ends on a noiseless channel, as floats."""
+    pairs = remote_povm_branches(alice.psi, HONEST.measurement_povm())
+    return outcome_bounds([p for p, _ in pairs])
+
+
+def _edge_words(bounds):
+    """The words on either side of every bound's word threshold, and the
+    ends of the word range."""
+    return np.array([w for b in bounds for w in words_beside(b)], dtype=np.uint64)
 
 
 SUM_FAULT_BOUNDS = (0.0, 0.0)
@@ -120,29 +134,33 @@ BOUNDS = [
 
 def test_the_fault_tables_carry_empty_intervals():
     assert _sum_fault_table().bounds == SUM_FAULT_BOUNDS
-    bounds = _zero_width_table().bounds
+    bounds = _honest_bounds(_zero_width_sender())
     assert bounds[0] == 0.0 < bounds[1] < 1.0
+    assert _zero_width_table().bounds == tuple(map(_word_threshold, bounds))
 
 
-@pytest.mark.parametrize("bounds", BOUNDS + [_zero_width_table().bounds])
+@pytest.mark.parametrize("bounds", BOUNDS + [_honest_bounds(_zero_width_sender())])
 def test_interval_counting_equals_searchsorted(bounds):
     # r = 0 plays every row as a normal round, whose branch // 2 is the outcome
-    t = _uncached(aligned_pair(), HONEST, PARAMS)._replace(r=0.0, bounds=bounds)
-    for u1 in (_edge_uniforms(bounds), _round_rows(7, 0, 5_000)[:, 1],
-               _round_rows(2 ** 63 + 5, 3, 777)[:, 1]):
-        u = np.full((len(u1), montecarlo.DRAWS_PER_ROUND), 0.5)
-        u[:, 1] = u1
-        expected = np.searchsorted(np.array(bounds), u1, side="right")
-        assert np.array_equal(_table_branches(t, u) // 2, expected)
+    t = _uncached(aligned_pair(), HONEST, PARAMS)._replace(
+        r=0, bounds=tuple(map(_word_threshold, bounds)))
+    for w1 in (_edge_words(bounds), _round_words(7, 0, 5_000)[:, 1],
+               _round_words(2 ** 63 + 5, 3, 777)[:, 1]):
+        w = np.full((len(w1), montecarlo.DRAWS_PER_ROUND), 1 << 63, dtype=np.uint64)
+        w[:, 1] = w1
+        expected = np.searchsorted(np.array(bounds), uniforms(w1), side="right")
+        assert np.array_equal(_table_branches(t, w) // 2, expected)
 
 
 def test_random_chunks_land_where_searchsorted_puts_them():
     # checking rows keep their own branch; normal rows' outcomes are searchsorted's
-    t = _uncached(random_entangled_policy(np.random.default_rng(4)), HONEST, PARAMS)
-    u = _round_rows(19, 1_000, 40_000)
-    branch = _table_branches(t, u)
-    normal = u[:, 0] >= t.r
-    expected = np.searchsorted(np.array(t.bounds), u[normal, 1], side="right")
+    alice = random_entangled_policy(np.random.default_rng(4))
+    t = _uncached(alice, HONEST, PARAMS)
+    w = _round_words(19, 1_000, 40_000)
+    u = uniforms(w)
+    branch = _table_branches(t, w)
+    normal = u[:, 0] >= PARAMS.r
+    expected = np.searchsorted(np.array(_honest_bounds(alice)), u[normal, 1], side="right")
     assert np.array_equal(branch[normal] // 2, expected)
     assert np.all(branch[~normal] >= montecarlo._NORMAL)
 

@@ -110,16 +110,17 @@ def _zero_norm_outcome():
 def test_a_faulty_entangled_row_hands_on_every_earlier_row_then_raises(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", _SMALL_CHUNK)
     fault_at = _SMALL_CHUNK + 5
-    real = montecarlo._round_rows
+    real = montecarlo._round_words
 
     def rows_with_a_fault(seed, start, count):
-        u = real(seed, start, count)
-        u[u[:, 0] < 0.5, 2] = 0.5  # no other checking row hits the zero-norm outcome
+        w = real(seed, start, count)
+        # no other checking row hits the zero-norm outcome: the uniform 0.5 in word 2
+        w[w[:, 0] < 1 << 63, 2] = 1 << 63
         if start <= fault_at < start + count:
-            u[fault_at - start] = 0.0
-        return u
+            w[fault_at - start] = 0  # every uniform 0.0
+        return w
 
-    monkeypatch.setattr(montecarlo, "_round_rows", rows_with_a_fault)
+    monkeypatch.setattr(montecarlo, "_round_words", rows_with_a_fault)
     alice, params = _zero_norm_outcome(), ProtocolParams(r=0.5, R=398.0)
     chunks = []
     with pytest.raises(AssertionError, match="zero-probability measurement"):
@@ -134,8 +135,8 @@ def test_a_faulty_entangled_row_hands_on_every_earlier_row_then_raises(monkeypat
 
 
 def test_a_faulty_entangled_first_row_hands_on_nothing(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_round_rows",
-                        lambda seed, start, count: np.zeros((count, 8)))
+    monkeypatch.setattr(montecarlo, "_round_words",
+                        lambda seed, start, count: np.zeros((count, 8), dtype=np.uint64))
     chunks = []
     with pytest.raises(AssertionError):
         simulate(SimConfig(rounds=10, seed=3, params=ProtocolParams(r=0.5, R=398.0),
