@@ -32,10 +32,10 @@ preparation: a normal round on each receiver outcome or blind guess, or
 a checking round on each guess that passes or accuses. round_player is a
 view over it: it turns one round's uniforms into a row index (prepare,
 the round kind, the guess bisected into the preparation's outcome bounds
-or drawn blind, then the check) and returns that row's index, and the
-scalar loop plays it round by round. Separable senders stay on that loop
-until the benchmark's statistical check stops raising false alarms at
-the pass counts numpy would reach. An entangled sender's table
+or drawn blind, then the check), and a chunk of rounds is played through
+it one round at a time. Separable senders stay round by round until the
+benchmark's statistical check stops raising false alarms at the pass
+counts numpy would reach. An entangled sender's table
 (_entangled_table) has eighteen rows (normal round: receiver's outcome
 or blind guess x her outcome; checking round: guess x her outcome x pass
 or accuse). numpy plays a chunk of its rows at once and counts the
@@ -49,16 +49,20 @@ finds the receiver's outcome with one comparison per interval end. With
 the table compiled once per key, the benchmark's entangled-scan workload
 at r = 0.05 went from 5.33M to 6.52M rounds/s (BENCH_20.json), and
 reading words in place of floats took it from 6.70M to 8.36M
-(BENCH_24.json). With the abort monitor on, a chunk's checking rows go
-through abort_monitor in order and the chunk ends at the tripping row.
+(BENCH_24.json).
 
-Both engines read the receiver only through measurement_povm(), never
-write to their table, and hand out one prebuilt transcript object per
-row, so the CLI renders each object's line once. The scalar loop reads
-_SCALAR_CHUNK rows at a time, the table _CHUNK rows. A transcript sink is
-called once per chunk, with the list of that chunk's transcripts in round
-order; the list ends at the round that trips the monitor, or before the
-round that raises.
+One loop, _block_counts, plays both engines. An engine only turns a chunk
+of rounds (_SCALAR_CHUNK for a separable sender, _CHUNK for an entangled
+one) into the row each round lands on and the exception of the first
+round that raised, if any. The loop does the rest for both: the abort
+monitor reads the chunk's checking rounds in order, through the checking
+and accused masks compiled into each table, and cuts the chunk at the
+round that trips it; a transcript sink gets the chunk's transcripts as
+one list in round order; and the exception is raised after that, unless
+the monitor tripped first. Both engines read the receiver only through
+measurement_povm(), never write to their table, and hand out one
+prebuilt transcript object per row, so the CLI renders each object's
+line once.
 
 Abort monitoring and transcript streaming are sequential (the monitor
 reads the running counts in round order), so those runs play in one
@@ -74,7 +78,7 @@ import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -186,8 +190,9 @@ class _SeparableTable(NamedTuple):
     normal round on the receiver's outcome or blind guess k, and row
     i * stride + len(labels) + 2 * g + fail a checking round on guess g
     that passes (fail = 0) or accuses. exact_rows gives each row's (name,
-    probability, payoff) and transcripts the round a row on it plays;
-    p_fail and bounds are what round_player compares the uniforms with.
+    probability, payoff), transcripts the round a row on it plays, and
+    checking and accused whether that round checks and accuses; p_fail and
+    bounds are what round_player compares the uniforms with.
     """
 
     labels: tuple  # the receiver's outcome labels; LABELS for a blind guess
@@ -195,6 +200,8 @@ class _SeparableTable(NamedTuple):
     bounds: Optional[tuple]  # outcome_bounds per preparation; None for a blind receiver
     exact_rows: tuple
     transcripts: tuple
+    checking: np.ndarray
+    accused: np.ndarray
 
 
 def _separable_table(alice, bob, params) -> _SeparableTable:
@@ -241,7 +248,9 @@ def _separable_table(alice, bob, params) -> _SeparableTable:
             row(prep, RoundKind.CHECKING, w_check * q_pass, g, CheckResult.PASS)
             row(prep, RoundKind.CHECKING, w_check * q_fail, g, CheckResult.ACCUSE)
     return _SeparableTable(labels, tuple(p_fail), None if povm is None else tuple(bounds),
-                           tuple(exact_rows), tuple(transcripts))
+                           tuple(exact_rows), tuple(transcripts),
+                           _frozen([t.kind is RoundKind.CHECKING for t in transcripts]),
+                           _frozen([t.check is CheckResult.ACCUSE for t in transcripts]))
 
 
 def round_player(alice, table: _SeparableTable, params: ProtocolParams):
@@ -282,57 +291,75 @@ def _compile(alice, bob, params):
 
 def _block_counts(alice, table, params, seed, start, count, sink=None):
     """Play rounds [start, start + count) of alice's table in order:
-    (counts, aborted), counts[b] the rounds that landed on row b. An
-    entangled sender's table plays with numpy, any other round by round."""
+    (counts, aborted), counts[b] the rounds that landed on row b.
+
+    A chunk at a time, the engine's play_chunk gives each round's row and
+    the exception of the first round that raised, or None. The monitor
+    cuts the chunk at the round that trips it; sink, when given, then gets
+    the chunk's transcripts as one list in round order, never an empty
+    one; and only then, unless the monitor tripped first, is the exception
+    raised."""
     if isinstance(table, _BranchTable):
-        return _table_counts(table, seed, start, count, sink, params)
-    return _scalar_counts(alice, table, params, seed, start, count, sink)
-
-
-def _scalar_counts(alice, table, params, seed, start, count, sink=None):
-    """_block_counts through round_player, played one round at a time.
-
-    With a sink, each chunk's transcripts are collected in a list, in round
-    order, and handed to sink in one call when the chunk ends: at its last
-    row, at the round that trips the abort monitor (so that round is still
-    written) or, before the error propagates, at a round that raises. A
-    chunk that played no round is not handed on.
-    """
-    play = round_player(alice, table, params)
-    rng = _RoundRng()
-    transcripts = table.transcripts
-    counts = [0] * len(transcripts)
+        size, play_chunk = _CHUNK, partial(_table_chunk, table)
+    else:
+        size, play_chunk = _SCALAR_CHUNK, _separable_chunks(alice, table, params)
+    counts = np.zeros(len(table.transcripts), dtype=np.int64)
     monitor_on = params.abort_threshold is not None
-    checking = [t.kind is RoundKind.CHECKING for t in transcripts]
-    accused = [t.check is CheckResult.ACCUSE for t in transcripts]
-    checks = accs = 0
-    abort = MonitorDecision.ABORT
     aborted = False
     done = 0
     while done < count and not aborted:
-        n = min(_SCALAR_CHUNK, count - done)
-        rows = _round_rows(seed, start + done, n).tolist()
-        played = []
-        keep = played.append
+        branch, error = play_chunk(seed, start + done, min(size, count - done))
+        if monitor_on:
+            trip = _trip_row(table, branch, counts, params)
+            if trip is not None:
+                branch = branch[:trip + 1]
+                aborted = True
+                error = None
+        if sink is not None and len(branch):
+            sink(list(map(table.transcripts.__getitem__, branch.tolist())))
+        if error is not None:
+            raise error
+        counts += np.bincount(branch, minlength=len(counts))
+        done += len(branch)
+    return counts.tolist(), aborted
+
+
+def _trip_row(table, branch: np.ndarray, counts: np.ndarray, params):
+    """Index of the row of branch at which abort_monitor trips, or None.
+
+    The chunk's checking rows go through the monitor in order, their
+    checks and accusations running on from the earlier chunks' counts."""
+    rows = np.flatnonzero(table.checking[branch])
+    checks = int(counts[table.checking].sum())
+    accs = np.cumsum(table.accused[branch[rows]]) + int(counts[table.accused].sum())
+    for i, a in enumerate(accs.tolist()):
+        if abort_monitor(checks + i + 1, a, params) is MonitorDecision.ABORT:
+            return int(rows[i])
+    return None
+
+
+def _separable_chunks(alice, table: _SeparableTable, params):
+    """Return play_chunk(seed, start, count) for a separable sender: the
+    row round_player lands on for each of rounds [start, start + count),
+    and None, or the rows of the rounds before the first that raised and
+    its exception."""
+    play = round_player(alice, table, params)
+    rng = _RoundRng()
+
+    def play_chunk(seed, start, count):
+        branch = []
+        keep = branch.append
+        error = None
         try:
-            for row in rows:
+            for row in _round_rows(seed, start, count).tolist():
                 rng.row = row
                 rng.pos = 0
-                b = play(rng)
-                counts[b] += 1
-                if sink is not None:
-                    keep(transcripts[b])
-                if monitor_on and checking[b]:
-                    checks += 1
-                    accs += accused[b]
-                    if abort_monitor(checks, accs, params) is abort:
-                        aborted = True
-                        break
-        finally:
-            if played:
-                sink(played)
-        done += n
-    return counts, aborted
+                keep(play(rng))
+        except Exception as exc:
+            error = exc
+        return np.array(branch, dtype=np.intp), error
+
+    return play_chunk
 
 
 # normal-round branches come first in a branch table, checking rounds after
@@ -365,8 +392,9 @@ class _BranchTable(NamedTuple):
     Branch 2 * x + j is a normal round in which the receiver's outcome or
     blind guess has index x and the sender's outcome is j; branch
     _NORMAL + 2 * (2 * g + j) + fail is a checking round on guess g.
-    exact_rows gives each branch's (name, probability, payoff) and
-    transcripts the round a row on it plays. Each threshold t that a round's
+    exact_rows gives each branch's (name, probability, payoff),
+    transcripts the round a row on it plays, and checking and accused
+    whether that round checks and accuses. Each threshold t that a round's
     uniform is compared with is held as _word_threshold(t), which
     _table_branches compares the Philox words with; p0 > 0 exactly when its
     word threshold is.
@@ -379,6 +407,7 @@ class _BranchTable(NamedTuple):
     p_fail: np.ndarray  # check failure per (guess, j), at 2 * g + j
     exact_rows: tuple
     transcripts: tuple
+    checking: np.ndarray
     accused: np.ndarray
     faults: tuple  # None, or the (exception type, message) a sampled branch raises
     faulty: Optional[np.ndarray]  # whether each branch raises; None when none does
@@ -500,6 +529,7 @@ def _compile_entangled_table(psi, basis, claims, povm, params) -> _BranchTable:
         _word_threshold(r), _THIRDS if bounds is None else tuple(map(_word_threshold, bounds)),
         _word_thresholds(p0_normal), _word_thresholds(p0_local),
         _word_thresholds([u[4] for u in unmeasured]), tuple(exact_rows), tuple(transcripts),
+        _frozen([t.kind is RoundKind.CHECKING for t in transcripts]),
         _frozen([t.check is CheckResult.ACCUSE for t in transcripts]), tuple(faults),
         _frozen(faulty) if any(faulty) else None)
 
@@ -542,58 +572,18 @@ def _table_branches(t: _BranchTable, w: np.ndarray) -> np.ndarray:
     return branch
 
 
-def _trip_row(t: _BranchTable, branch: np.ndarray, counts: np.ndarray, params):
-    """Index of the row of branch at which abort_monitor trips, or None.
-
-    The chunk's checking rows go through the monitor in order, their
-    checks and accusations running on from the earlier chunks' counts."""
-    rows = np.flatnonzero(branch >= _NORMAL)
-    checks = int(counts[_NORMAL:].sum())
-    accs = np.cumsum(t.accused[branch[rows]]) + int(counts[t.accused].sum())
-    for i, a in enumerate(accs.tolist()):
-        if abort_monitor(checks + i + 1, a, params) is MonitorDecision.ABORT:
-            return int(rows[i])
-    return None
-
-
-def _table_counts(t: _BranchTable, seed, start, count, sink=None, params=None):
-    """_block_counts from a branch table, one chunk of rows at a time.
-
-    With params whose abort monitor is on, a chunk ends at the row that
-    trips it. sink, when given, then receives the transcripts of the
-    chunk's rows as one list, in row order, so the tripping row is written.
-    A row on a faulty branch raises after every row before it was handed
-    on, unless the monitor tripped first. A chunk that played no row is not
-    handed on.
-    """
-    counts = np.zeros(len(t.transcripts), dtype=np.int64)
-    monitor_on = params is not None and params.abort_threshold is not None
-    aborted = False
-    done = 0
-    while done < count and not aborted:
-        n = min(_CHUNK, count - done)
-        branch = _table_branches(t, _round_words(seed, start + done, n))
-        fault = None
-        if t.faulty is not None:
-            hit = t.faulty[branch]
-            if hit.any():
-                first = int(hit.argmax())
-                fault = t.faults[branch[first]]
-                branch = branch[:first]
-        if monitor_on:
-            trip = _trip_row(t, branch, counts, params)
-            if trip is not None:
-                branch = branch[:trip + 1]
-                aborted = True
-                fault = None
-        if sink is not None and len(branch):
-            sink(list(map(t.transcripts.__getitem__, branch.tolist())))
-        if fault is not None:
-            kind, message = fault
-            raise kind(message)
-        counts += np.bincount(branch, minlength=len(counts))
-        done += len(branch)
-    return counts.tolist(), aborted
+def _table_chunk(t: _BranchTable, seed, start, count):
+    """The branches of rounds [start, start + count) from the table, and
+    None, or the branches before the first row on a faulty branch and the
+    error that branch raises."""
+    branch = _table_branches(t, _round_words(seed, start, count))
+    if t.faulty is not None:
+        hit = t.faulty[branch]
+        if hit.any():
+            first = int(hit.argmax())
+            kind, message = t.faults[branch[first]]
+            return branch[:first], kind(message)
+    return branch, None
 
 
 def _quotient(num: int, den: int) -> float:
@@ -647,7 +637,8 @@ def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
     order, never an empty one. The lists, joined, are every round of the
     run: the last item is the round that tripped the monitor, if it
     tripped; a round that raises is not in them, and every round before it
-    is. Equal transcripts are the same object.
+    is (it raises only when the monitor did not trip first). Equal
+    transcripts are the same object.
     """
     alice, params = config.alice, config.params
     table = _compile(alice, config.bob, params)

@@ -9,12 +9,13 @@ Every random choice of a round is described once, as a branch table that
 the sampler and the exact oracle both read: outcome_bounds for a POVM's
 outcomes, local_measure_branches and remote_povm_branches for either
 party's measurement of a pair, and check_fail_probability for the claim
-check. A draw over such a table is one uniform bisected into its bounds;
-the engines compute the bounds once per run and bisect them themselves.
-Every draw goes through the single method ``rng.random()``, so that any
-object exposing it (stdlib ``random.Random``, a numpy ``Generator``, or
-a deterministic stub) can drive it. The helpers are pure functions of
-immutable values and keep nothing on them.
+check. A draw over such a table is one uniform compared with its bounds.
+This module draws nothing: montecarlo compiles the bounds into a sender's
+table, and its engines compare each round's uniforms with them, the
+separable engine as floats bisected into the bounds, the entangled one as
+the random stream's Philox words against the bounds' integer word
+thresholds. The helpers are pure functions of immutable values and keep
+nothing on them.
 """
 
 from __future__ import annotations

@@ -9,14 +9,17 @@ discriminator and a blind receiver who guesses uniformly.
 Strategies are data. One instance can serve any number of rounds and
 runs, pickles cleanly across worker processes, and carries nothing from
 one run to the next. montecarlo compiles every sender, with the
-receiver, into one branch table per run, which its sampler plays and its
-exact oracle sums. A separable sender lists her finite preparations,
-each the qubit she sends and the claim she commits to, with their
-weights, and prepare() draws one: the table holds nine rows per
-preparation, and montecarlo.round_player plays the row that prepare,
-the round kind, the guess and the check land on. A receiver is read only
-through measurement_povm(). An entangled sender is a pair and two lookup
-tables, compiled into eighteen rows.
+receiver, into one branch table, which its sampler plays and its exact
+oracle sums: a separable sender's once per run, an entangled sender's
+once per distinct sender, receiver and parameters. A separable sender
+lists her finite preparations, each the qubit she sends and the claim
+she commits to, with their weights, and prepare(rng) draws one with
+rng.random(): the table holds nine rows per preparation, and
+montecarlo.round_player plays the row that prepare, the round kind, the
+guess and the check land on. A receiver is read only through
+measurement_povm(). An entangled sender is a pair and two lookup tables,
+compiled into eighteen rows that montecarlo plays on the random stream's
+words directly; she has no prepare().
 """
 
 from __future__ import annotations

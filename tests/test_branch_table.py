@@ -286,8 +286,9 @@ class _Subclass(EntangledAlice):
 
 def test_every_entangled_run_takes_the_table(monkeypatch):
     calls = []
-    real = montecarlo._table_counts
-    monkeypatch.setattr(montecarlo, "_table_counts", lambda *args: calls.append(1) or real(*args))
+    real = montecarlo._table_branches
+    monkeypatch.setattr(montecarlo, "_table_branches",
+                        lambda *args: calls.append(1) or real(*args))
     alice = SENDERS["aligned"]
     plain = ProtocolParams(r=0.5, R=398.0)
     bob = BOBS["honest"]

@@ -242,7 +242,7 @@ def test_params_equal_in_value_but_not_in_text_compile_apart(first, second):
 def test_a_cached_table_is_read_only():
     table = _entangled_table(_zero_width_sender(), HONEST, PARAMS)
     arrays = [v for v in table if isinstance(v, np.ndarray)]
-    assert len(arrays) == 5 and table.faulty is not None
+    assert len(arrays) == 6 and table.faulty is not None
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]

@@ -145,8 +145,18 @@ def test_a_faulty_entangled_first_row_hands_on_nothing(monkeypatch):
     assert chunks == []
 
 
-def test_a_separable_round_that_raises_hands_on_every_earlier_round(monkeypatch):
+@pytest.mark.parametrize("monitor", ["off", "trips first", "trips after"])
+def test_a_separable_round_that_raises_hands_on_every_earlier_round(monkeypatch, monitor):
+    alice, params = HonestAlice(), ProtocolParams(r=0.05, R=398.0)
     fault_at = _SCALAR_CHUNK + 5
+    if monitor != "off":
+        # a monitor that trips in the second chunk, the raising round three
+        # rounds after the tripping one or three before it
+        alice = FixedStateCheat.from_angle(2.5, "a")
+        params = ProtocolParams(r=0.5, R=398.0, abort_threshold=0.0,
+                                abort_min_checks=3 * _SCALAR_CHUNK // 4)
+        trip = len(_per_round(transcript_player, alice, params, 5, 3 * _SCALAR_CHUNK)[0]) - 1
+        fault_at = trip + 3 if monitor == "trips first" else trip - 3
 
     def failing_player(alice, table, params):
         play = round_player(alice, table, params)
@@ -162,13 +172,19 @@ def test_a_separable_round_that_raises_hands_on_every_earlier_round(monkeypatch)
 
     monkeypatch.setattr(montecarlo, "round_player", failing_player)
     chunks = []
-    params = ProtocolParams(r=0.05, R=398.0)
-    with pytest.raises(RuntimeError, match="round failed"):
-        simulate(SimConfig(rounds=3 * _SCALAR_CHUNK, seed=5, params=params, alice=HonestAlice(),
-                           bob=HONEST_BOB), transcript_sink=chunks.append)
-    assert [len(c) for c in chunks] == [_SCALAR_CHUNK, 5]
-    assert [t for c in chunks for t in c] == _per_round(transcript_player, HonestAlice(), params,
-                                                        5, fault_at)[0]
+    config = SimConfig(rounds=3 * _SCALAR_CHUNK, seed=5, params=params, alice=alice,
+                       bob=HONEST_BOB)
+    expected, expected_result = _per_round(transcript_player, alice, params, 5, fault_at)
+    if monitor == "trips first":
+        result = simulate(config, transcript_sink=chunks.append)
+        assert result == expected_result and result.aborted
+        assert len(expected) == fault_at - 2 and expected[-1].kind is RoundKind.CHECKING
+    else:
+        with pytest.raises(RuntimeError, match="^round failed$"):
+            simulate(config, transcript_sink=chunks.append)
+        assert len(expected) == fault_at
+    assert [len(c) for c in chunks] == [_SCALAR_CHUNK, len(expected) - _SCALAR_CHUNK]
+    assert [t for c in chunks for t in c] == expected
 
 
 @pytest.mark.parametrize("engine, size", [("separable", _SCALAR_CHUNK), ("entangled", _CHUNK)])
