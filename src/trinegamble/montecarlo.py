@@ -27,34 +27,40 @@ receiver's POVM outcome, local_measure_branches and remote_povm_branches
 for the pair, check_fail_probability for the check. enumerate_exact sums
 the rows of the table compiled against the honest receiver.
 
+Both tables are played the same way: numpy turns the Philox words of a
+chunk of rounds into the row each round lands on, as played one uniform
+at a time would (tests/separable_reference.py, tests/entangled_reference.py).
+It reads the words themselves, never their floats: a table holds each
+threshold t as the integer T = ceil(t * 2**53), clamped to [0, 2**53],
+and u < t exactly when (w >> 11) < T; a bisection of u into a list of
+bounds, or a guess int(u * 3.0), is the count of such cut-offs at or below
+w >> 11. Every row is played as a normal round first, then only the
+checking rows are gathered and played as checking rounds.
+
 A separable sender's table (_separable_table) has nine rows per
 preparation: a normal round on each receiver outcome or blind guess, or
-a checking round on each guess that passes or accuses. round_player is a
-view over it: it turns one round's uniforms into a row index (prepare,
-the round kind, the guess bisected into the preparation's outcome bounds
-or drawn blind, then the check), and a chunk of rounds is played through
-it one round at a time. Separable senders stay round by round until the
-benchmark's statistical check stops raising false alarms at the pass
-counts numpy would reach. An entangled sender's table
+a checking round on each guess that passes or accuses.
+_separable_branches reads a round's words in the order the sender's own
+round reads its uniforms: her preparation draw (none for a fixed cheat,
+so her words shift by one), the round kind, then the receiver's outcome
+bisected into that preparation's outcome bounds or drawn blind, or in a
+checking round the guess and the check. Only the three sender families
+whose draw the compiler knows are tabulated; any other separable sender
+is rejected with a ValueError. An entangled sender's table
 (_entangled_table) has eighteen rows (normal round: receiver's outcome
 or blind guess x her outcome; checking round: guess x her outcome x pass
-or accuse). numpy plays a chunk of its rows at once and counts the
-branch each lands on, as played one uniform at a time would
-(tests/entangled_reference.py). It reads the Philox words themselves,
-never their floats: the table holds each threshold t as the integer
-T = ceil(t * 2**53), clamped to [0, 2**53], and u < t exactly when
-(w >> 11) < T; a guess int(u * 3.0) is the count of two such cut-offs at
-or below w >> 11. Each row does only the work of its own round kind, and
-finds the receiver's outcome with one comparison per interval end. With
-the table compiled once per key, the benchmark's entangled-scan workload
-at r = 0.05 went from 5.33M to 6.52M rounds/s (BENCH_20.json), and
-reading words in place of floats took it from 6.70M to 8.36M
-(BENCH_24.json).
+or accuse), and _table_branches plays them. With the table compiled once
+per key, the benchmark's entangled-scan workload at r = 0.05 went from
+5.33M to 6.52M rounds/s (BENCH_20.json), and reading words in place of
+floats took it from 6.70M to 8.36M (BENCH_24.json). Playing separable
+tables the same way, in place of one Python round at a time, took the
+separable-sweep workload from 570k to 7.14M rounds/s (BENCH_26.json).
 
-One loop, _block_counts, plays both engines. An engine only turns a chunk
-of rounds (_SCALAR_CHUNK for a separable sender, _CHUNK for an entangled
-one) into the row each round lands on and the exception of the first
-round that raised, if any. The loop does the rest for both: the abort
+One loop, _block_counts, plays both tables. A table's chunk function
+only turns a chunk of rounds (_SCALAR_CHUNK for a separable sender,
+_CHUNK for an entangled one) into the row each round lands on and the
+exception of the first round that raised, if any; only an entangled
+table has rows that raise. The loop does the rest for both: the abort
 monitor reads the chunk's checking rounds in order, through the checking
 and accused masks compiled into each table, and cuts the chunk at the
 round that trips it; a transcript sink gets the chunk's transcripts as
@@ -75,10 +81,10 @@ import dataclasses
 import math
 import operator
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -101,7 +107,7 @@ from .qubit import (
     outcome_bounds,
     remote_povm_branches,
 )
-from .strategies import BobStrategy, EntangledAlice
+from .strategies import BobStrategy, EntangledAlice, FixedStateCheat, HonestAlice, MixtureCheat
 
 DRAWS_PER_ROUND = 8
 _CHUNK = 1 << 16
@@ -159,49 +165,84 @@ class SimResult:
         return dataclasses.asdict(self)
 
 
-class _RoundRng:
-    """Cursor over one round's budgeted uniforms; exposes only random()."""
-
-    __slots__ = ("row", "pos")
-
-    def random(self) -> float:
-        v = self.row[self.pos]
-        self.pos += 1
-        return v
-
-
 def _philox(seed: int, start: int) -> np.random.Philox:
     return np.random.Philox(key=seed, counter=(start * DRAWS_PER_ROUND) // 4)
 
 
-def _round_rows(seed: int, start: int, count: int) -> np.ndarray:
-    return np.random.Generator(_philox(seed, start)).random((count, DRAWS_PER_ROUND))
-
-
 def _round_words(seed: int, start: int, count: int) -> np.ndarray:
-    """The Philox words of _round_rows' uniforms: u = (w >> 11) * 2**-53."""
+    """Rounds [start, start + count) of the stream, one row of
+    DRAWS_PER_ROUND Philox words each; word w stands for the uniform
+    u = (w >> 11) * 2**-53."""
     words = _philox(seed, start).random_raw(count * DRAWS_PER_ROUND)
     return words.reshape(count, DRAWS_PER_ROUND)
 
 
+def _word_threshold(t: float) -> int:
+    """The count of the stream's uniforms below t: a word w, whose uniform
+    is u = (w >> 11) * 2**-53, has u < t exactly when (w >> 11) < the count,
+    and u >= t when not. t * 2**53 is exact below 1.0. A NaN threshold, which
+    no uniform is either below or at or above, is rejected."""
+    if math.isnan(t):
+        raise ValueError("a branch threshold is NaN")
+    return math.ceil(min(max(t, 0.0), 1.0) * 2.0 ** 53)
+
+
+def _word_thresholds(values) -> np.ndarray:
+    return _frozen(np.array([_word_threshold(v) for v in values], dtype=np.uint64))
+
+
+# int(u * 3.0) is the count of these at or below w >> 11: the least w >> 11
+# whose uniform gives int(u * 3.0) >= 1, then >= 2, in float arithmetic
+_THIRDS = tuple(bisect_left(range(1 << 53), k, key=lambda x: int(x * 2.0 ** -53 * 3.0))
+                for k in (1, 2))
+
+
+def _frozen(values) -> np.ndarray:
+    # a cached table is shared by every run that plays it
+    a = np.array(values)
+    a.flags.writeable = False
+    return a
+
+
 class _SeparableTable(NamedTuple):
-    """A separable sender and a receiver as rows, stride = len(labels) + 6
-    of them per preparation. For preparation i, row i * stride + k is a
-    normal round on the receiver's outcome or blind guess k, and row
-    i * stride + len(labels) + 2 * g + fail a checking round on guess g
-    that passes (fail = 0) or accuses. exact_rows gives each row's (name,
+    """A separable sender and a receiver as rows, stride = outcomes + 6 of
+    them per preparation, outcomes the receiver's outcome count (3 for a
+    blind guess). For preparation i, row i * stride + k is a normal round
+    on the receiver's outcome or blind guess k, and row
+    i * stride + outcomes + 2 * g + fail a checking round on guess g that
+    passes (fail = 0) or accuses. exact_rows gives each row's (name,
     probability, payoff), transcripts the round a row on it plays, and
-    checking and accused whether that round checks and accuses; p_fail and
-    bounds are what round_player compares the uniforms with.
+    checking and accused whether that round checks and accuses. The
+    thresholds a round's uniforms are compared with are held as their
+    _word_threshold, which _separable_branches compares the Philox words
+    with.
     """
 
-    labels: tuple  # the receiver's outcome labels; LABELS for a blind guess
-    p_fail: tuple  # the check's failure probability per preparation
-    bounds: Optional[tuple]  # outcome_bounds per preparation; None for a blind receiver
+    prepare: Optional[np.ndarray]  # the preparation draw's cut-offs; None when she draws none
+    r: int  # a round is a checking round below it
+    bounds: np.ndarray  # per preparation, the receiver's outcome cut-offs; _THIRDS when blind
+    p_fail: np.ndarray  # the check's failure per preparation
     exact_rows: tuple
     transcripts: tuple
     checking: np.ndarray
     accused: np.ndarray
+
+
+def _preparation_cutoffs(alice) -> Optional[np.ndarray]:
+    """The word cut-offs of the sender's preparation draw: preparation i is
+    drawn when i of them lie at or below the round's first word >> 11, as
+    her prepare(rng) draws it from one uniform. None when she draws no
+    uniform, so that the round kind reads the first word. A sender of
+    another type, a subclass included, may draw otherwise, and is rejected."""
+    kind = type(alice)
+    if kind is HonestAlice:
+        return _frozen(np.array(_THIRDS, dtype=np.uint64))  # int(u * 3.0)
+    if kind is MixtureCheat:
+        return _word_thresholds(alice._bounds)  # bisect_right(alice._bounds, u)
+    if kind is FixedStateCheat:
+        return None
+    raise ValueError(f"cannot tabulate {kind.__name__}: its preparation draw is not one of "
+                     "HonestAlice's, FixedStateCheat's or MixtureCheat's")
 
 
 def _separable_table(alice, bob, params) -> _SeparableTable:
@@ -212,12 +253,15 @@ def _separable_table(alice, bob, params) -> _SeparableTable:
     state for its claim, and the receiver's Born probabilities on it and
     their outcome_bounds; a blind receiver names each label with
     probability 1/3. Every row's transcript comes from leaf_transcript, so
-    the sampler and the exact oracle read the same rows.
+    the sampler and the exact oracle read the same rows. A sender who lists
+    no preparations, or whose draw among them is not one of the three
+    families', is rejected.
     """
     preparations = getattr(alice, "preparations", None)
     if preparations is None:
         raise ValueError(f"cannot tabulate {type(alice).__name__}: it is not entangled "
                          "and lists no preparations")
+    prepare = _preparation_cutoffs(alice)
     povm = bob.measurement_povm()
     labels = LABELS if povm is None else povm.labels
     r = params.r
@@ -234,9 +278,10 @@ def _separable_table(alice, bob, params) -> _SeparableTable:
         received = received_state(prep.wire, params.noise_lambda)
         if povm is None:
             probs = (1.0 / 3.0,) * len(labels)
+            bounds.append(_THIRDS)
         else:
             probs = born_probabilities(received, povm)
-            bounds.append(outcome_bounds(probs))
+            bounds.append(tuple(map(_word_threshold, outcome_bounds(probs))))
         q_fail = check_fail_probability(received, prep.claim)
         p_fail.append(q_fail)
         w_normal = pc * (1.0 - r)
@@ -247,41 +292,52 @@ def _separable_table(alice, bob, params) -> _SeparableTable:
         for g in LABELS:
             row(prep, RoundKind.CHECKING, w_check * q_pass, g, CheckResult.PASS)
             row(prep, RoundKind.CHECKING, w_check * q_fail, g, CheckResult.ACCUSE)
-    return _SeparableTable(labels, tuple(p_fail), None if povm is None else tuple(bounds),
-                           tuple(exact_rows), tuple(transcripts),
+    return _SeparableTable(prepare, _word_threshold(r),
+                           _frozen(np.array(bounds, dtype=np.uint64)),
+                           _word_thresholds(p_fail), tuple(exact_rows), tuple(transcripts),
                            _frozen([t.kind is RoundKind.CHECKING for t in transcripts]),
                            _frozen([t.check is CheckResult.ACCUSE for t in transcripts]))
 
 
-def round_player(alice, table: _SeparableTable, params: ProtocolParams):
-    """Return play(rng) for a separable sender compiled into table by
-    _separable_table: it plays one full round and returns the index of
-    the row it lands on.
+def _separable_branches(t: _SeparableTable, w: np.ndarray) -> np.ndarray:
+    """The row each row of Philox words plays, as a separable round reads
+    its uniforms one at a time (tests/separable_reference.py): word 0 draws
+    the preparation, unless she draws none, and the words after it the round
+    kind, then the receiver's outcome or blind guess, or in a checking round
+    the guess and then the check. Each word is read as w >> 11 against the
+    table's word cut-offs. The kind is drawn after her preparation, so she
+    never learns it but through the payout; a checking round's guess is
+    uniform whatever the receiver, and its check tests the claim of her
+    preparation.
 
-    The sender prepares first. The round kind is drawn next, Bernoulli(r),
-    before the receiver touches the qubit; the sender never learns it
-    except through the payout. In a checking round the receiver stores the
-    qubit and guesses uniformly, and the check tests the claim she committed
-    to in prepare; in a normal round he bisects one uniform into his POVM's
-    outcome bounds, or guesses uniformly when he is blind.
-    """
-    p_fail, bounds = table.p_fail, table.bounds
-    normal = len(table.labels)
-    stride = normal + 2 * len(LABELS)
-    # the bound method keeps the sender, and so her preparations and their ids
-    index = {id(prep): i for i, (_, prep) in enumerate(alice.preparations)}
-    prepare, r = alice.prepare, params.r
+    Every row is played as a normal round first; then only the checking
+    rows are gathered and played again as checking rounds."""
+    first = 0 if t.prepare is None else 1  # the round kind's word
+    prep = np.zeros(len(w), dtype=np.intp)
+    if first:
+        draw = w[:, 0] >> 11
+        for c in t.prepare:
+            prep += draw >= c
+    outcome = w[:, first + 1] >> 11
+    normal = t.bounds.shape[1] + 1
+    base = prep * (normal + 2 * len(LABELS))
+    branch = base.copy()
+    for cutoffs in t.bounds.T:
+        branch += outcome >= cutoffs[prep]
+    # r < 1, so its word cut-off t.r << 11 is a uint64 and the kind's word needs no shift
+    rows = np.flatnonzero(w[:, first] < t.r << 11)
+    c = w[rows, first + 1:first + 3] >> 11
+    guess = np.zeros(len(rows), dtype=np.intp)
+    for k in _THIRDS:
+        guess += c[:, 0] >= k
+    branch[rows] = base[rows] + normal + 2 * guess + (c[:, 1] < t.p_fail[prep[rows]])
+    return branch
 
-    def play(rng) -> int:
-        i = index[id(prepare(rng))]
-        if rng.random() < r:
-            row = i * stride + normal + 2 * int(rng.random() * 3.0)
-            return row + (rng.random() < p_fail[i])
-        if bounds is None:
-            return i * stride + int(rng.random() * 3.0)
-        return i * stride + bisect_right(bounds[i], rng.random())
 
-    return play
+def _separable_chunk(t: _SeparableTable, seed, start, count):
+    """The rows of rounds [start, start + count) of a separable table, and
+    None: no separable round raises."""
+    return _separable_branches(t, _round_words(seed, start, count)), None
 
 
 def _compile(alice, bob, params):
@@ -289,26 +345,26 @@ def _compile(alice, bob, params):
     return compile_table(alice, bob, params)
 
 
-def _block_counts(alice, table, params, seed, start, count, sink=None):
-    """Play rounds [start, start + count) of alice's table in order:
+def _block_counts(table, params, seed, start, count, sink=None):
+    """Play rounds [start, start + count) of a table in order:
     (counts, aborted), counts[b] the rounds that landed on row b.
 
-    A chunk at a time, the engine's play_chunk gives each round's row and
+    A chunk at a time, the table's chunk function gives each round's row and
     the exception of the first round that raised, or None. The monitor
     cuts the chunk at the round that trips it; sink, when given, then gets
     the chunk's transcripts as one list in round order, never an empty
     one; and only then, unless the monitor tripped first, is the exception
     raised."""
     if isinstance(table, _BranchTable):
-        size, play_chunk = _CHUNK, partial(_table_chunk, table)
+        size, play_chunk = _CHUNK, _table_chunk
     else:
-        size, play_chunk = _SCALAR_CHUNK, _separable_chunks(alice, table, params)
+        size, play_chunk = _SCALAR_CHUNK, _separable_chunk
     counts = np.zeros(len(table.transcripts), dtype=np.int64)
     monitor_on = params.abort_threshold is not None
     aborted = False
     done = 0
     while done < count and not aborted:
-        branch, error = play_chunk(seed, start + done, min(size, count - done))
+        branch, error = play_chunk(table, seed, start + done, min(size, count - done))
         if monitor_on:
             trip = _trip_row(table, branch, counts, params)
             if trip is not None:
@@ -338,52 +394,8 @@ def _trip_row(table, branch: np.ndarray, counts: np.ndarray, params):
     return None
 
 
-def _separable_chunks(alice, table: _SeparableTable, params):
-    """Return play_chunk(seed, start, count) for a separable sender: the
-    row round_player lands on for each of rounds [start, start + count),
-    and None, or the rows of the rounds before the first that raised and
-    its exception."""
-    play = round_player(alice, table, params)
-    rng = _RoundRng()
-
-    def play_chunk(seed, start, count):
-        branch = []
-        keep = branch.append
-        error = None
-        try:
-            for row in _round_rows(seed, start, count).tolist():
-                rng.row = row
-                rng.pos = 0
-                keep(play(rng))
-        except Exception as exc:
-            error = exc
-        return np.array(branch, dtype=np.intp), error
-
-    return play_chunk
-
-
 # normal-round branches come first in a branch table, checking rounds after
 _NORMAL = 2 * len(LABELS)
-
-
-def _word_threshold(t: float) -> int:
-    """The count of the stream's uniforms below t: a word w, whose uniform
-    is u = (w >> 11) * 2**-53, has u < t exactly when (w >> 11) < the count,
-    and u >= t when not. t * 2**53 is exact below 1.0. A NaN threshold, which
-    no uniform is either below or at or above, is rejected."""
-    if math.isnan(t):
-        raise ValueError("a branch threshold is NaN")
-    return math.ceil(min(max(t, 0.0), 1.0) * 2.0 ** 53)
-
-
-def _word_thresholds(values) -> np.ndarray:
-    return _frozen(np.array([_word_threshold(v) for v in values], dtype=np.uint64))
-
-
-# int(u * 3.0) is the count of these at or below w >> 11: the least w >> 11
-# whose uniform gives int(u * 3.0) >= 1, then >= 2, in float arithmetic
-_THIRDS = tuple(bisect_left(range(1 << 53), k, key=lambda x: int(x * 2.0 ** -53 * 3.0))
-                for k in (1, 2))
 
 
 class _BranchTable(NamedTuple):
@@ -534,13 +546,6 @@ def _compile_entangled_table(psi, basis, claims, povm, params) -> _BranchTable:
         _frozen(faulty) if any(faulty) else None)
 
 
-def _frozen(values) -> np.ndarray:
-    # a cached table is shared by every run that plays it
-    a = np.array(values)
-    a.flags.writeable = False
-    return a
-
-
 def _table_branches(t: _BranchTable, w: np.ndarray) -> np.ndarray:
     """The branch each row of Philox words plays, as uint8: word 0 gives the
     round kind, 1 the guess or the receiver's outcome, 2 the sender's outcome
@@ -620,7 +625,7 @@ def _result(table, counts, aborted) -> SimResult:
 
 def _worker(args):
     alice, bob, params, seed, start, count = args
-    return _block_counts(alice, _compile(alice, bob, params), params, seed, start, count)
+    return _block_counts(_compile(alice, bob, params), params, seed, start, count)
 
 
 def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
@@ -644,8 +649,8 @@ def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
     table = _compile(alice, config.bob, params)
     workers = min(config.workers, config.rounds)
     if transcript_sink is not None or params.abort_threshold is not None or workers <= 1:
-        return _result(table, *_block_counts(alice, table, params, config.seed, 0,
-                                             config.rounds, transcript_sink))
+        return _result(table, *_block_counts(table, params, config.seed, 0, config.rounds,
+                                             transcript_sink))
     base, extra = divmod(config.rounds, workers)
     jobs = []
     start = 0

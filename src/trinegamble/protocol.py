@@ -24,13 +24,13 @@ compiles every sender, separable or entangled, into one branch table
 whose transcripts leaf_transcript builds, and both its sampler and its
 exact oracle read that table.
 
-Strategies are duck-typed. A separable sender provides prepare, which
-returns a strategies.Preparation (what she sends and what she claims),
-and preparations, the (weight, Preparation) pairs prepare draws from. A
-receiver provides measurement_povm: the POVM he measures in normal
-rounds, or None when he guesses blind. Everything else he does is fixed
-by the protocol, and each round is ruled from the committed claim. The
-strategies module supplies the standard implementations.
+A separable sender is one of the strategies module's three families,
+whose preparations are the (weight, Preparation) pairs her prepare draws
+from, each a strategies.Preparation (what she sends and what she
+claims); montecarlo compiles her draw itself. A receiver is duck-typed:
+he provides measurement_povm, the POVM he measures in normal rounds, or
+None when he guesses blind. Everything else he does is fixed by the
+protocol, and each round is ruled from the committed claim.
 """
 
 from __future__ import annotations

@@ -13,13 +13,15 @@ receiver, into one branch table, which its sampler plays and its exact
 oracle sums: a separable sender's once per run, an entangled sender's
 once per distinct sender, receiver and parameters. A separable sender
 lists her finite preparations, each the qubit she sends and the claim
-she commits to, with their weights, and prepare(rng) draws one with
-rng.random(): the table holds nine rows per preparation, and
-montecarlo.round_player plays the row that prepare, the round kind, the
-guess and the check land on. A receiver is read only through
-measurement_povm(). An entangled sender is a pair and two lookup tables,
-compiled into eighteen rows that montecarlo plays on the random stream's
-words directly; she has no prepare().
+she commits to, with their weights, and prepare(rng) draws one with at
+most one rng.random(). The table holds nine rows per preparation, and
+montecarlo compiles prepare's draw into word cut-offs for each family
+here (HonestAlice, FixedStateCheat, MixtureCheat), so that it plays a
+chunk of rounds on the random stream's words in numpy, landing where
+prepare, the round kind, the guess and the check would. A receiver is
+read only through measurement_povm(). An entangled sender is a pair and
+two lookup tables, compiled into eighteen rows that montecarlo plays the
+same way; she has no prepare().
 """
 
 from __future__ import annotations
@@ -144,7 +146,11 @@ class MixtureCheat:
                 raise ValueError("mixture components must carry PureState entries")
             total += p
             preps.append(Preparation(f"mix:{i}:claim={c}", s, c))
-        if not abs(total - 1.0) <= 1e-9:
+        # the sampler gives the last component what the others leave of 1,
+        # and the exact oracle refuses rows whose total is off 1 by more
+        # than 1e-12; 1e-13 leaves room for the rows' own rounding, so no
+        # run plays weights that the oracle does not price
+        if not abs(total - 1.0) <= 1e-13:
             raise ValueError(f"component probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_bounds", outcome_bounds([p for p, _, _ in comps]))

@@ -6,6 +6,7 @@ The reference reads montecarlo._round_words, the Philox words the branch
 table compares, and turns each into its uniform as numpy does, so a test
 that swaps in other words drives the engine and the reference alike."""
 
+import functools
 import math
 import random
 from collections import Counter
@@ -26,6 +27,8 @@ from trinegamble.protocol import (
 )
 from trinegamble.qubit import LABELS, PureState, TwoQubitState
 from trinegamble.strategies import EntangledAlice, in_plane_state
+
+import separable_reference
 
 
 def uniforms(words) -> np.ndarray:
@@ -124,12 +127,24 @@ def reference_result(transcripts, aborted) -> SimResult:
                      counts.accusations, aborted)
 
 
+class _RoundRng:
+    """Cursor over one round's row of uniforms; exposes only random(), as
+    the reference rounds read them one at a time."""
+
+    __slots__ = ("row", "pos")
+
+    def random(self) -> float:
+        v = self.row[self.pos]
+        self.pos += 1
+        return v
+
+
 def play_reference(play, params, seed, start, count, played) -> bool:
     """Play rounds [start, start + count) one at a time, each through
     play(rng) on its row of uniforms, and append each round's transcript to
     played. Stops after the round that trips the abort monitor and returns
     whether one did; a round that raises is not appended."""
-    rng = montecarlo._RoundRng()
+    rng = _RoundRng()
     checks = accs = 0
     for row in uniforms(montecarlo._round_words(seed, start, count)).tolist():
         rng.row, rng.pos = row, 0
@@ -149,17 +164,15 @@ def play_engine(alice, bob, params, seed, start, count):
     block's row counts, and the transcripts it handed its sink."""
     table = montecarlo._compile(alice, bob, params)
     played = []
-    counts, aborted = montecarlo._block_counts(alice, table, params, seed, start, count,
-                                               played.extend)
+    counts, aborted = montecarlo._block_counts(table, params, seed, start, count, played.extend)
     return montecarlo._result(table, counts, aborted), played
 
 
 def transcript_player(alice, bob, params):
-    """round_player over the separable table of alice and bob, returning
-    each round's transcript instead of its row."""
-    table = montecarlo._separable_table(alice, bob, params)
-    play = montecarlo.round_player(alice, table, params)
-    return lambda rng: table.transcripts[play(rng)]
+    """play(rng) for one separable round of alice against bob, as the
+    staged reference (separable_reference.run_round) plays it: its
+    transcript, from uniforms read one at a time."""
+    return functools.partial(separable_reference.run_round, alice, bob, params)
 
 
 @pytest.fixture

@@ -1,13 +1,15 @@
-"""The separable round as the sender once ruled it: the reference the lean
-montecarlo.round_player is checked against.
+"""The separable round as the sender once ruled it, one uniform at a time:
+the reference the package's separable table is checked against.
 
 Here every round asks the sender to adjudicate herself, validates her
 ruling against the guess, wraps the receiver's guess in a named tuple
 (with the stored qubit in a checking round) and samples every outcome
 with sample_outcome, which rebuilds the outcome bounds on each draw. A
 mixture draws its component the same way from its weights. The package
-instead rules each round from the claim committed in prepare and bisects
-bounds computed once per run, with the same uniforms in the same order.
+instead rules each round from the claim committed in prepare, and
+montecarlo._separable_branches plays a chunk of rounds at once, comparing
+the Philox words of the same uniforms, in the same order, with cut-offs
+computed once per run.
 
 conftest.play_reference plays run_round one round at a time, on the rows
 of uniforms the package reads, so the two can be compared row for row.

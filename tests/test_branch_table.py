@@ -121,7 +121,7 @@ def reference():
 def _unwatched(alice, bob, params, seed, start, count):
     """The engine's result with no sink, which skips transcripts."""
     table = _entangled_table(alice, bob, params)
-    return _result(table, *_block_counts(alice, table, params, seed, start, count))
+    return _result(table, *_block_counts(table, params, seed, start, count))
 
 
 def _play(play, alice, bob, params, seed, start, count):
@@ -355,7 +355,7 @@ def _engine_outcome(alice, params, count):
     lines = []
     table = _entangled_table(alice, BOBS["honest"], params)
     try:
-        got = _result(table, *_block_counts(alice, table, params, 1, 0, count,
+        got = _result(table, *_block_counts(table, params, 1, 0, count,
                                             lambda chunk: lines.extend(map(transcript_line, chunk))))
     except AssertionError as exc:
         got = (type(exc), str(exc))

@@ -231,6 +231,7 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     ["simulate", "--alice", "entangled:random:-1", "--rounds", "10"],
     ["verify", "--seed", "-1"],
     ["simulate", "--rounds", "10", "--seed", "-1"],
+    ["simulate", "--alice", "mixture:0.5000000003:a:a;0.5:b:b", "--rounds", "10"],
 ])
 def test_usage_and_validation_errors(capsys, argv):
     code, _, err = _run(capsys, argv)
@@ -239,6 +240,9 @@ def test_usage_and_validation_errors(capsys, argv):
     if "mixture:1:inf:a" in argv or "mixture:1:-inf:a" in argv:
         # names the field and the value, not just "math domain error"
         assert "state angle must be finite" in err and "inf'" in err
+    if "mixture:0.5000000003:a:a;0.5:b:b" in argv:
+        # refused as enumerate_exact would refuse it, in one line
+        assert err == "error: component probabilities must sum to 1, got 1.0000000003\n"
     if "fixed:theta_a=0.5,claim=a,claim=b" in argv:
         # a repeated key is named, not silently overwritten
         assert "repeated fixed parameter 'claim'" in err

@@ -20,7 +20,7 @@ from trinegamble.montecarlo import (
     ExactExpectation,
     SimConfig,
     SimResult,
-    _round_rows,
+    _round_words,
     compare_stats,
     enumerate_exact,
     simulate,
@@ -38,7 +38,7 @@ from trinegamble.strategies import (
 )
 from trinegamble.qubit import LABELS, PureState, TwoQubitState, trine_states
 
-from conftest import closed_form_attack, tally, transcript_player
+from conftest import closed_form_attack, tally, transcript_player, uniforms
 from entangled_reference import run_round as reference_round
 
 TRINE = trine_states()
@@ -101,9 +101,9 @@ def test_different_seeds_diverge():
 
 
 def test_round_rows_regenerate_from_any_offset():
-    whole = _round_rows(99, 0, 300)
-    assert np.array_equal(whole[120:], _round_rows(99, 120, 180))
-    assert np.array_equal(whole[:50], _round_rows(99, 0, 50))
+    whole = uniforms(_round_words(99, 0, 300))
+    assert np.array_equal(whole[120:], uniforms(_round_words(99, 120, 180)))
+    assert np.array_equal(whole[:50], uniforms(_round_words(99, 0, 50)))
     assert all(len(row) == DRAWS_PER_ROUND for row in whole)
 
 
@@ -250,17 +250,17 @@ def test_every_strategy_combo_fits_the_draw_budget():
          ProtocolParams(r=0.5, R=398.0)),
         (MixtureCheat(((0.5, TRINE["a"], "a"), (0.5, TRINE["b"], "b"))),
          BobStrategy.honest_optimal(), ProtocolParams(r=0.5, R=398.0)),
-        # entangled senders play from their table; the reference round
-        # reads the same uniforms one at a time
         (singlet_mirror(), BobStrategy.honest_optimal(), ProtocolParams(r=0.5, R=398.0)),
         (aligned_pair(), BobStrategy.random_guess(), ProtocolParams(r=0.5, R=398.0)),
     ]
+    # both engines read fixed words of each round's row; the staged
+    # reference rounds they match read those uniforms one at a time
     for i, (alice, bob, params) in enumerate(combos):
         if isinstance(alice, EntangledAlice):
             play = functools.partial(reference_round, alice, bob, params)
         else:
             play = transcript_player(alice, bob, params)
-        for row in _round_rows(1000 + i, 0, 2_000):
+        for row in uniforms(_round_words(1000 + i, 0, 2_000)).tolist():
             play(_StrictRow(row))
 
 

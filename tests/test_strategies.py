@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trinegamble.montecarlo import _compile_entangled_table
+from trinegamble.montecarlo import _compile_entangled_table, enumerate_exact
 from trinegamble.protocol import ProtocolParams, RoundKind, RoundResult, received_state
 from trinegamble.qubit import (
     LABELS,
@@ -32,7 +32,7 @@ from trinegamble.strategies import (
     singlet_mirror,
 )
 
-from conftest import four_sigma, random_basis, random_pair, transcript_player
+from conftest import four_sigma, play_engine, random_basis, random_pair, transcript_player
 
 TRINE = trine_states()
 
@@ -150,6 +150,20 @@ def test_mixture_validation():
             MixtureCheat(((weight, TRINE["a"], "a"), (1.0, TRINE["b"], "b")))
 
 
+def test_a_mixture_is_played_only_if_the_oracle_prices_it():
+    # weights 3e-10 over their sum used to simulate, the last component
+    # drawn at 0.4999999997 but priced at 0.5, while enumerate_exact refused them
+    with pytest.raises(ValueError, match=r"sum to 1, got 1\.0000000003$"):
+        MixtureCheat(((0.5000000003, TRINE["a"], "a"), (0.5, TRINE["b"], "b")))
+    params = ProtocolParams(r=0.05, R=398.0, noise_lambda=0.3)
+    for off in (9e-14, -9e-14):
+        mix = MixtureCheat(((0.5 + off, TRINE["a"], "a"), (0.25, in_plane_state(1.1), "c"),
+                            (0.25, TRINE["b"], "b")))
+        assert math.isfinite(enumerate_exact(mix, params).g_alice)
+        with pytest.raises(ValueError, match="sum to 1"):
+            MixtureCheat(((0.5 + 2 * off, TRINE["a"], "a"), (0.5, TRINE["b"], "b")))
+
+
 # ---------------------------------------------------------------------------
 # entangled sender
 
@@ -246,10 +260,8 @@ def test_a_receiver_is_read_only_through_his_povm(monkeypatch, noise):
 
     monkeypatch.setattr("trinegamble.montecarlo.check_fail_probability", recording)
     for bob in (BobStrategy.honest_optimal(), BobStrategy.random_guess()):
-        stub = transcript_player(cheat, _PovmOnly(bob.measurement_povm()), params)
-        play = transcript_player(cheat, bob, params)
-        rng_stub, rng_bob = random.Random(3), random.Random(3)
-        assert [stub(rng_stub) for _ in range(500)] == [play(rng_bob) for _ in range(500)]
+        stub = play_engine(cheat, _PovmOnly(bob.measurement_povm()), params, 3, 0, 500)
+        assert stub == play_engine(cheat, bob, params, 3, 0, 500)
     want = received_state(TRINE["c"], noise)
     assert len(checked) == 4
     for state in checked:
@@ -406,7 +418,7 @@ def test_any_sender_spec_parses_or_raises_value_error(spec):
         alice = parse_alice_spec(spec)
     except ValueError:
         return
-    # a separable sender plays round by round, an entangled one from her table
+    # a separable sender draws her preparation with prepare, an entangled one has none
     assert isinstance(alice, EntangledAlice) or hasattr(alice, "prepare")
     if isinstance(alice, MixtureCheat):
         weights = [p for p, _, _ in alice.components]
@@ -439,8 +451,7 @@ def test_all_strategies_pickle():
     honest = BobStrategy.honest_optimal()
 
     def rounds(alice, bob):
-        play, rng = transcript_player(alice, bob, params), random.Random(9)
-        return [play(rng) for _ in range(200)]
+        return play_engine(alice, bob, params, 9, 0, 200)
 
     def compile_table(alice):
         return _compile_entangled_table(alice.psi, alice.basis_policy, alice.claim_policy,

@@ -2,11 +2,12 @@
 list per chunk of rounds played, in round order.
 
 Joined, the lists are the run's rounds as a per-round reference plays
-them (round_player for a separable sender, entangled_reference.run_round
-for an entangled one, each through conftest.play_reference). With the
-abort monitor on, the tripping round is the last item handed on. A round
-that raises is not handed on, and every round before it is. The sink is
-called once per chunk played, never with an empty list.
+them (separable_reference.run_round for a separable sender,
+entangled_reference.run_round for an entangled one, each through
+conftest.play_reference). With the abort monitor on, the tripping round
+is the last item handed on. A round that raises is not handed on, and
+every round before it is. The sink is called once per chunk played,
+never with an empty list.
 
 The entangled engine's chunk is cut to _SMALL_CHUNK rows here, so that
 the reference plays runs of several chunks quickly.
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from trinegamble import montecarlo
-from trinegamble.montecarlo import _CHUNK, _SCALAR_CHUNK, SimConfig, round_player, simulate
+from trinegamble.montecarlo import _CHUNK, _SCALAR_CHUNK, SimConfig, simulate
 from trinegamble.protocol import ProtocolParams, RoundKind
 from trinegamble.qubit import LABELS, PureState, TwoQubitState, trine_states
 from trinegamble.strategies import (
@@ -158,19 +159,16 @@ def test_a_separable_round_that_raises_hands_on_every_earlier_round(monkeypatch,
         trip = len(_per_round(transcript_player, alice, params, 5, 3 * _SCALAR_CHUNK)[0]) - 1
         fault_at = trip + 3 if monitor == "trips first" else trip - 3
 
-    def failing_player(alice, table, params):
-        play = round_player(alice, table, params)
-        seen = []
+    real = montecarlo._separable_chunk
 
-        def failing(rng):
-            if len(seen) == fault_at:
-                raise RuntimeError("round failed")
-            seen.append(play(rng))
-            return seen[-1]
+    def failing_chunk(table, seed, start, count):
+        # round fault_at raises: its chunk gives the rows before it and the error
+        branch, error = real(table, seed, start, count)
+        if start <= fault_at < start + count:
+            return branch[:fault_at - start], RuntimeError("round failed")
+        return branch, error
 
-        return failing
-
-    monkeypatch.setattr(montecarlo, "round_player", failing_player)
+    monkeypatch.setattr(montecarlo, "_separable_chunk", failing_chunk)
     chunks = []
     config = SimConfig(rounds=3 * _SCALAR_CHUNK, seed=5, params=params, alice=alice,
                        bob=HONEST_BOB)

@@ -1,27 +1,48 @@
-"""The branch table compares Philox words, not uniforms: the word rule
+"""The branch tables compare Philox words, not uniforms: the word rule
 equals the float rule at every edge.
 
 A word w's uniform is u = (w >> 11) * 2**-53, as numpy's Generator.random
 makes it. For every threshold t, u < t exactly when (w >> 11) is below
 _word_threshold(t), and u >= t exactly when it is not; int(u * 3.0) is the
-count of montecarlo._THIRDS at or below (w >> 11).
+count of montecarlo._THIRDS at or below (w >> 11). A separable table plays
+the row the staged reference round plays on the words beside each of its
+thresholds.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trinegamble import montecarlo
 from trinegamble.montecarlo import (
+    DRAWS_PER_ROUND,
+    SimConfig,
     _THIRDS,
-    _round_rows,
+    _philox,
     _round_words,
+    _separable_branches,
+    _separable_table,
     _word_threshold,
     _word_thresholds,
+    simulate,
+)
+from trinegamble.protocol import ProtocolParams, received_state
+from trinegamble.qubit import born_probabilities, check_fail_probability, outcome_bounds
+from trinegamble.strategies import (
+    TRINE,
+    BobStrategy,
+    FixedStateCheat,
+    HonestAlice,
+    MixtureCheat,
+    in_plane_state,
 )
 
-from conftest import words_beside
+import separable_reference
+from conftest import play_reference, words_beside
 
 EDGES = [
     0.0,
@@ -117,6 +138,89 @@ def test_the_word_rule_holds_beside_any_threshold(t):
 def test_the_two_readers_are_one_stream(seed, start, count):
     w = _round_words(seed, start, count)
     assert w.dtype == np.uint64 and w.shape == (count, 8)
-    u = _round_rows(seed, start, count)
+    u = np.random.Generator(_philox(seed, start)).random((count, DRAWS_PER_ROUND))
     assert np.array_equal(u, (w >> 11) * 2.0 ** -53)
     assert u.tobytes() == ((w >> 11) * 2.0 ** -53).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the separable table at every edge of its word cut-offs
+
+
+SEPARABLE = {
+    "honest": HonestAlice(),
+    "fixed": FixedStateCheat.from_angle(1.0, "b"),
+    "mixture": MixtureCheat(((0.15, TRINE["a"], "a"), (0.6, in_plane_state(1.1), "c"),
+                             (0.25, TRINE["b"], "b"))),
+    "mixture-one": MixtureCheat(((1.0, in_plane_state(2.0), "a"),)),
+}
+BOBS = {"honest": BobStrategy.honest_optimal(), "blind": BobStrategy.random_guess()}
+# noise puts every check failure strictly between 0 and 1
+EDGE_PARAMS = ProtocolParams(r=0.3, R=77.7, noise_lambda=0.1)
+
+
+def _thresholds(alice, bob, params):
+    """The thresholds a separable round compares its uniforms with, in the
+    order it reads them, worked out as the reference round works them out:
+    the preparation draw's (none for a fixed cheat), r, the receiver's
+    outcome bounds of every preparation and the checking guess's thirds,
+    and every preparation's check failure."""
+    povm = bob.measurement_povm()
+    outcome, fail = [1.0 / 3.0, 2.0 / 3.0], []
+    for _, prep in alice.preparations:
+        received = received_state(prep.wire, params.noise_lambda)
+        if povm is not None:
+            outcome += outcome_bounds(born_probabilities(received, povm))
+        fail.append(check_fail_probability(received, prep.claim))
+    columns = [[params.r], outcome, fail]
+    if isinstance(alice, HonestAlice):
+        columns.insert(0, [1.0 / 3.0, 2.0 / 3.0])
+    elif isinstance(alice, MixtureCheat):
+        columns.insert(0, list(outcome_bounds([p for p, _, _ in alice.components])) or [0.5])
+    return columns
+
+
+@pytest.mark.parametrize("bob", sorted(BOBS))
+@pytest.mark.parametrize("sender", sorted(SEPARABLE))
+def test_a_separable_row_is_the_reference_round_beside_every_threshold(monkeypatch, sender,
+                                                                         bob):
+    # every combination of the words beside each threshold a round's words meet
+    alice, bob, params = SEPARABLE[sender], BOBS[bob], EDGE_PARAMS
+    columns = [sorted({w for t in ts for w in words_beside(t)})
+               for ts in _thresholds(alice, bob, params)]
+    words = np.zeros((math.prod(map(len, columns)), DRAWS_PER_ROUND), dtype=np.uint64)
+    words[:, :len(columns)] = list(itertools.product(*columns))
+    table = _separable_table(alice, bob, params)
+    played = []
+    monkeypatch.setattr(montecarlo, "_round_words", lambda seed, start, count: words)
+    play_reference(functools.partial(separable_reference.run_round, alice, bob, params), params,
+                   0, 0, len(words), played)
+    branch = _separable_branches(table, words)
+    assert [table.transcripts[b] for b in branch.tolist()] == played
+    # the words reach every row that has a nonzero probability
+    reached = set(branch.tolist())
+    assert reached == {b for b, (_, p, _) in enumerate(table.exact_rows) if p > 0}
+
+
+class _Coin:
+    """A separable sender with preparations and prepare, outside the three
+    compiled families: her draw is not theirs."""
+
+    preparations = ((0.5, HonestAlice.preparations[0][1]), (0.5, HonestAlice.preparations[1][1]))
+
+    def prepare(self, rng):
+        return self.preparations[rng.random() >= 0.5][1]
+
+
+class _Honest(HonestAlice):
+    """A subclass could draw her preparation otherwise."""
+
+
+@pytest.mark.parametrize("alice", [_Coin(), _Honest()], ids=lambda a: type(a).__name__)
+def test_a_separable_sender_outside_the_compiled_families_is_rejected(alice):
+    params = ProtocolParams(r=0.05, R=398.0)
+    with pytest.raises(ValueError, match=type(alice).__name__):
+        _separable_table(alice, BobStrategy.honest_optimal(), params)
+    with pytest.raises(ValueError, match=type(alice).__name__):
+        simulate(SimConfig(rounds=10, seed=1, params=params, alice=alice,
+                           bob=BobStrategy.honest_optimal()))
