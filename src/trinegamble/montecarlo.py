@@ -6,26 +6,28 @@ from row i of an implicit Philox(key=seed) matrix of shape (rounds, 8) of
 numpy's Generator.random makes it. Any contiguous block of rows
 regenerates bit-identically from the counter offset, so every round's
 randomness is a pure function of (seed, round index) no matter how rounds
-are partitioned. simulate splits a run into
-``workers`` contiguous blocks and plays them on at most os.cpu_count()
-processes. A block counts the rounds that land on each row of the sender's
-table, the blocks' counts add as integers, and _result works the totals out
+are partitioned. simulate splits a run into at most ``workers``
+contiguous blocks, one per thread and at most one per CPU, and every
+thread plays the one table that simulate compiled; Philox and numpy
+release the GIL, so the blocks play in parallel, and nothing is pickled.
+A block counts the rounds that land on each row of the sender's table,
+the blocks' counts add as integers, and _result works the totals out
 once from them: payoff sums exactly, in integers over the payoffs' common
 power-of-two denominator, then rounded once. So the result is the same for
-every worker and process count.
+every worker and thread count.
 
 Every sender is compiled into one branch table: the single description
 of her game, read by both the sampler and the exact oracle. A separable
-sender is compiled once per simulate and once per worker's block; an
-entangled one once per distinct (sender, receiver, params) key, into a
-read-only table that every later simulate and enumerate_exact of that
-key shares. Each row carries its transcript (built by
-protocol.leaf_transcript), its exact (name, probability, payoff), and
-the table holds the thresholds each uniform is compared against. Every
-threshold comes from one helper in qubit: outcome_bounds for the
-receiver's POVM outcome, local_measure_branches and remote_povm_branches
-for the pair, check_fail_probability for the check. enumerate_exact sums
-the rows of the table compiled against the honest receiver.
+sender is compiled once per simulate, an entangled one once per distinct
+(sender, receiver, params) key, into a read-only table that every later
+simulate and enumerate_exact of that key shares. Each row carries its
+transcript (built by protocol.leaf_transcript), its exact (name,
+probability, payoff), and the table holds the thresholds each uniform is
+compared against. Every threshold comes from one helper in qubit:
+outcome_bounds for the receiver's POVM outcome, local_measure_branches
+and remote_povm_branches for the pair, check_fail_probability for the
+check. enumerate_exact sums the rows of the table compiled against the
+honest receiver.
 
 Both tables are played the same way: numpy turns the Philox words of a
 chunk of rounds into the row each round lands on, as played one uniform
@@ -71,8 +73,8 @@ prebuilt transcript object per row, so the CLI renders each object's
 line once.
 
 Abort monitoring and transcript streaming are sequential (the monitor
-reads the running counts in round order), so those runs play in one
-process whatever the worker count.
+reads the running counts in round order), so those runs play as one
+block whatever the worker count.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ import math
 import operator
 import os
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -230,15 +232,17 @@ class _SeparableTable(NamedTuple):
 
 def _preparation_cutoffs(alice) -> Optional[np.ndarray]:
     """The word cut-offs of the sender's preparation draw: preparation i is
-    drawn when i of them lie at or below the round's first word >> 11, as
-    her prepare(rng) draws it from one uniform. None when she draws no
-    uniform, so that the round kind reads the first word. A sender of
+    drawn when i of them lie at or below the round's first word >> 11.
+    HonestAlice draws int(u * 3.0) from the round's first uniform u, and a
+    MixtureCheat bisects u into the outcome_bounds of her weights (the
+    count of bounds at or below it); a FixedStateCheat draws no uniform, so
+    she gets None and the round kind reads the first word. A sender of
     another type, a subclass included, may draw otherwise, and is rejected."""
     kind = type(alice)
     if kind is HonestAlice:
-        return _frozen(np.array(_THIRDS, dtype=np.uint64))  # int(u * 3.0)
+        return _frozen(np.array(_THIRDS, dtype=np.uint64))
     if kind is MixtureCheat:
-        return _word_thresholds(alice._bounds)  # bisect_right(alice._bounds, u)
+        return _word_thresholds(outcome_bounds([w for w, _ in alice.preparations]))
     if kind is FixedStateCheat:
         return None
     raise ValueError(f"cannot tabulate {kind.__name__}: its preparation draw is not one of "
@@ -623,18 +627,15 @@ def _result(table, counts, aborted) -> SimResult:
     return SimResult(n, mean, -mean, stderr, wins, n - wins, checks, accs, bool(aborted))
 
 
-def _worker(args):
-    alice, bob, params, seed, start, count = args
-    return _block_counts(_compile(alice, bob, params), params, seed, start, count)
-
-
 def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
     """Run the configured number of rounds and aggregate.
 
     Per-round randomness depends only on (seed, round index); identical
-    configs give bit-identical results, whatever the worker count. With the
-    abort monitor enabled the run stops at the first tripping round and
-    reports the partial totals with aborted = True.
+    configs give bit-identical results, whatever the worker count. The
+    rounds split into min(workers, rounds, os.cpu_count()) contiguous
+    blocks, each played on its own thread from the one compiled table.
+    With the abort monitor enabled the run stops at the first tripping
+    round and reports the partial totals with aborted = True.
 
     transcript_sink, when given, is called once per chunk of rounds played
     (at most _SCALAR_CHUNK rounds for a separable sender, _CHUNK for an
@@ -645,25 +646,21 @@ def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
     is (it raises only when the monitor did not trip first). Equal
     transcripts are the same object.
     """
-    alice, params = config.alice, config.params
-    table = _compile(alice, config.bob, params)
-    workers = min(config.workers, config.rounds)
-    if transcript_sink is not None or params.abort_threshold is not None or workers <= 1:
-        return _result(table, *_block_counts(table, params, config.seed, 0, config.rounds,
-                                             transcript_sink))
-    base, extra = divmod(config.rounds, workers)
-    jobs = []
-    start = 0
-    for w in range(workers):
-        count = base + (1 if w < extra else 0)
-        jobs.append((alice, config.bob, params, config.seed, start, count))
-        start += count
-    # forking one process per block could start thousands
-    procs = min(workers, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=procs) as pool:
-        parts = list(pool.map(_worker, jobs, chunksize=-(-workers // procs)))
-    counts = [sum(column) for column in zip(*(part[0] for part in parts))]
-    return _result(table, counts, any(part[1] for part in parts))
+    params, seed, rounds = config.params, config.seed, config.rounds
+    table = _compile(config.alice, config.bob, params)
+    if transcript_sink is not None or params.abort_threshold is not None or config.workers == 1:
+        return _result(table, *_block_counts(table, params, seed, 0, rounds, transcript_sink))
+    # one thread per block and at most one block per CPU: more threads play no faster
+    blocks = min(config.workers, rounds, os.cpu_count() or 1)
+    starts = [rounds * b // blocks for b in range(blocks + 1)]
+
+    def play(b):
+        return _block_counts(table, params, seed, starts[b], starts[b + 1] - starts[b])[0]
+
+    with ThreadPoolExecutor(max_workers=blocks) as pool:
+        parts = list(pool.map(play, range(blocks)))
+    # the monitor is off on this path, so no block aborts
+    return _result(table, [sum(column) for column in zip(*parts)], False)
 
 
 @dataclass(frozen=True)

@@ -7,27 +7,25 @@ tables after hearing the guess. Receivers: the honest optimal
 discriminator and a blind receiver who guesses uniformly.
 
 Strategies are data. One instance can serve any number of rounds and
-runs, pickles cleanly across worker processes, and carries nothing from
-one run to the next. montecarlo compiles every sender, with the
-receiver, into one branch table, which its sampler plays and its exact
-oracle sums: a separable sender's once per run, an entangled sender's
-once per distinct sender, receiver and parameters. A separable sender
-lists her finite preparations, each the qubit she sends and the claim
-she commits to, with their weights, and prepare(rng) draws one with at
-most one rng.random(). The table holds nine rows per preparation, and
-montecarlo compiles prepare's draw into word cut-offs for each family
-here (HonestAlice, FixedStateCheat, MixtureCheat), so that it plays a
-chunk of rounds on the random stream's words in numpy, landing where
-prepare, the round kind, the guess and the check would. A receiver is
-read only through measurement_povm(). An entangled sender is a pair and
-two lookup tables, compiled into eighteen rows that montecarlo plays the
-same way; she has no prepare().
+runs, is only read while a run plays, and carries nothing from one run
+to the next. montecarlo compiles every sender, with the receiver, into
+one branch table, which its sampler plays and its exact oracle sums: a
+separable sender's once per run, an entangled sender's once per distinct
+sender, receiver and parameters. A separable sender lists her finite
+preparations, each the qubit she sends and the claim she commits to,
+with their weights. The table holds nine rows per preparation, and
+montecarlo compiles each family's preparation draw (HonestAlice's
+uniform pick, FixedStateCheat's single preparation, MixtureCheat's
+weights) into word cut-offs, so that it plays a chunk of rounds on the
+random stream's words in numpy, landing where the preparation, the round
+kind, the guess and the check would. A receiver is read only through
+measurement_povm(). An entangled sender is a pair and two lookup tables,
+compiled into eighteen rows that montecarlo plays the same way.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -42,7 +40,6 @@ from .qubit import (
     TwoQubitState,
     local_measure_branches,
     optimal_povm,
-    outcome_bounds,
     state_from_bloch,
     trine_states,
 )
@@ -86,9 +83,6 @@ class HonestAlice:
 
     preparations: ClassVar[tuple] = tuple((1.0 / 3.0, prep) for prep in _HONEST_PREPS)
 
-    def prepare(self, rng) -> Preparation:
-        return _HONEST_PREPS[int(rng.random() * 3.0)]
-
 
 @dataclass(frozen=True)
 class FixedStateCheat:
@@ -122,9 +116,6 @@ class FixedStateCheat:
     def preparations(self) -> tuple:
         return ((1.0, self._prep),)
 
-    def prepare(self, rng) -> Preparation:
-        return self._prep
-
 
 @dataclass(frozen=True)
 class MixtureCheat:
@@ -153,15 +144,11 @@ class MixtureCheat:
         if not abs(total - 1.0) <= 1e-13:
             raise ValueError(f"component probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_bounds", outcome_bounds([p for p, _, _ in comps]))
         object.__setattr__(self, "_preps", tuple(preps))
 
     @property
     def preparations(self) -> tuple:
         return tuple((p, prep) for (p, _, _), prep in zip(self.components, self._preps))
-
-    def prepare(self, rng) -> Preparation:
-        return self._preps[bisect_right(self._bounds, rng.random())]
 
 
 def _nearest_trine(state: PureState) -> str:
@@ -192,7 +179,7 @@ class EntangledAlice:
     policies are finite lookup tables fixed before the game starts, so the
     whole game she plays is a finite branch tree: montecarlo's
     _entangled_table compiles it, and simulate and enumerate_exact play and
-    sum it. She has no prepare of her own.
+    sum it.
     """
 
     psi: TwoQubitState

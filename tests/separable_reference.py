@@ -5,8 +5,9 @@ Here every round asks the sender to adjudicate herself, validates her
 ruling against the guess, wraps the receiver's guess in a named tuple
 (with the stored qubit in a checking round) and samples every outcome
 with sample_outcome, which rebuilds the outcome bounds on each draw. A
-mixture draws its component the same way from its weights. The package
-instead rules each round from the claim committed in prepare, and
+mixture draws its component the same way from its weights, and prepare
+draws each family's preparation itself. The package instead rules each
+round from the claim of the drawn preparation, and
 montecarlo._separable_branches plays a chunk of rounds at once, comparing
 the Philox words of the same uniforms, in the same order, with cut-offs
 computed once per run.
@@ -34,7 +35,7 @@ from trinegamble.qubit import (
     check_fail_probability,
     outcome_bounds,
 )
-from trinegamble.strategies import FixedStateCheat, MixtureCheat
+from trinegamble.strategies import FixedStateCheat, HonestAlice
 
 
 def sample_outcome(probs, rng) -> int:
@@ -63,9 +64,14 @@ class StoredRandomGuess(NamedTuple):
 
 
 def prepare(alice, rng):
-    if isinstance(alice, MixtureCheat):
-        return alice._preps[sample_outcome([p for p, _, _ in alice.components], rng)]
-    return alice.prepare(rng)
+    """The preparation a sender of the three families draws, with at most
+    one rng.random(): honest play picks a trine state uniformly, a fixed
+    cheat draws nothing, and a mixture samples a component by its weights."""
+    if isinstance(alice, HonestAlice):
+        return alice.preparations[int(rng.random() * 3.0)][1]
+    if isinstance(alice, FixedStateCheat):
+        return alice.preparations[0][1]
+    return alice._preps[sample_outcome([p for p, _, _ in alice.components], rng)]
 
 
 def adjudicate(alice, prep, guess):

@@ -203,7 +203,7 @@ def test_table_matches_the_scalar_loop_over_several_chunks(reference, sender, bo
 
 
 def test_split_runs_match_the_scalar_split(reference):
-    # the pool's workers play their blocks from the table too; the result
+    # the threads play their blocks from the one table too; the result
     # equals the one recomputed from the reference's blocks, joined in order
     params = PARAMS[0.5]
     for name in ("attack", "random:3"):
@@ -393,6 +393,22 @@ def test_a_fault_row_raises_unless_the_monitor_tripped_first(monkeypatch, refere
         assert result.rounds == 2 and result.accuse_count == 1 and result.aborted is True
     else:
         assert result == (AssertionError, "sampled a zero-probability measurement branch")
+
+
+@pytest.mark.parametrize("fault_at", [3, 7])  # in the first block of two, or the second
+def test_a_fault_row_raises_the_same_error_from_any_block(monkeypatch, fault_at):
+    # a block's thread raises, and the caller sees what one block raises
+    stream = words_of([ROWS["fault" if i == fault_at else "normal"] for i in range(10)])
+    monkeypatch.setattr(montecarlo, "_round_words",
+                        lambda seed, start, count: stream[start:start + count].copy())
+    errors = []
+    for workers in (1, 2):
+        config = SimConfig(rounds=10, seed=1, params=ProtocolParams(r=0.5, R=398.0),
+                           alice=_zero_norm_outcome(), bob=BOBS["honest"], workers=workers)
+        with pytest.raises(AssertionError) as info:
+            simulate(config)
+        errors.append((info.type, str(info.value)))
+    assert errors == [(AssertionError, "sampled a zero-probability measurement branch")] * 2
 
 
 def test_a_sampled_zero_norm_povm_branch_raises(monkeypatch, reference):

@@ -7,7 +7,9 @@ tell the same story.
 
 import functools
 import math
+import multiprocessing.process
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -121,10 +123,10 @@ def test_worker_partition_preserves_counts_and_means():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    # an in-process stand-in for the pool: records its size, starts nothing
+    # a stand-in for the thread pool: records its size, starts no thread
     sizes = []
 
-    class InProcessPool:
+    class InlinePool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -137,11 +139,11 @@ def pool_sizes(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
     return sizes
 
 
-def test_blocks_run_on_at_most_one_process_per_cpu(pool_sizes):
+def test_blocks_run_on_at_most_one_thread_per_cpu(pool_sizes):
     alice = FixedStateCheat.from_angle(1.0, "a")
     many = simulate(_config(alice, 20_000, seed=5, workers=10_000))
     assert pool_sizes == [min(10_000, os.cpu_count() or 1)]
@@ -178,11 +180,24 @@ def test_results_do_not_depend_on_the_worker_count(pool_sizes, sender, bob, nois
     assert results[1:] == results[:1] * 3
 
 
-def test_the_real_pool_gives_the_one_process_result():
+@pytest.mark.parametrize("sender", ["fixed", "aligned"])
+def test_simulate_starts_no_process(monkeypatch, sender):
+    # the blocks play on threads of this process, from the one table it
+    # compiled; a short switch interval interleaves the threads finely
+    def refuse(process):
+        raise AssertionError("simulate started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     params = ProtocolParams(r=0.05, R=7.3)
-    alice = SPLIT_SENDERS["fixed"]
-    solo = simulate(_config(alice, 10_007, seed=7, params=params))
-    assert simulate(_config(alice, 10_007, seed=7, params=params, workers=2)) == solo
+    alice = SPLIT_SENDERS[sender]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = [simulate(_config(alice, 10_007, seed=7, params=params, workers=w))
+                   for w in (1, 2, 3, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[1:] == results[:1] * 3
 
 
 def _played(alice, params, rounds, seed):

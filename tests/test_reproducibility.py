@@ -1,8 +1,8 @@
 """Seeded output is pinned byte for byte, and no run leaks into the next.
 
-The scalar loop compiles what is fixed for a run (the channel's output,
-the receiver's POVM probabilities and bounds and the nine transcripts a
-round can end in, per preparation) once per block and keeps it to itself,
+The separable table compiles what is fixed for a run (the channel's
+output, the receiver's POVM outcome cut-offs and the nine transcripts a
+round can end in, per preparation) once per run and keeps it to itself,
 and the CLI renders each transcript object's line once. None of that may
 change a single output byte, leave anything on the sender's objects, or
 let one run's values reach another run that shares the same objects.
@@ -32,6 +32,8 @@ from trinegamble.strategies import (
     MixtureCheat,
     in_plane_state,
 )
+
+from separable_reference import prepare
 
 # (name, argv, exit code, SHA-256 of stdout, SHA-256 of the transcript file
 # or None for a run without one); recorded before the per-run memos existed
@@ -149,7 +151,7 @@ def test_runs_sharing_state_objects_equal_fresh_runs():
     # other point's penalty on an accusation.
     names = ("honest", "fixed-a", "fixed-b")
     alice = {name: _sender(name) for name in names}
-    assert {alice["honest"].prepare(np.random.default_rng(i)) for i in range(20)} == set(
+    assert {prepare(alice["honest"], np.random.default_rng(i)) for i in range(20)} == set(
         _HONEST_PREPS)
     cases = [(name, point, noise) for name in names for noise in NOISES for point in POINTS]
     seeds = {case: 40 + i for i, case in enumerate(cases)}

@@ -1,14 +1,15 @@
 """The lean separable round against the reference round: same rows, same
 result, same transcripts, same trip row.
 
-montecarlo.round_player rules each round from the claim the sender
-committed to in prepare and bisects outcome bounds computed once per run
-(or, for a mixture's component, once per sender). The reference
-(separable_reference.run_round, played through conftest.play_reference)
-asks the sender to adjudicate, validates her ruling and rebuilds the
-bounds on every draw. For every sender family, receiver, checking rate,
-noise strength, seed, offset and length, the scalar loop must hand its
-sink the transcripts the reference plays, and so write the same
+montecarlo._separable_branches plays a chunk of rounds at once from the
+sender's compiled table: each round is ruled from the claim of the
+preparation drawn, and each Philox word is compared with word cut-offs
+computed once per run. The reference (separable_reference.run_round,
+played through conftest.play_reference) asks the sender to adjudicate,
+validates her ruling and rebuilds the bounds on every draw. For every
+sender family, receiver, checking rate, noise strength, seed, offset and
+length, the table's run loop must hand its sink the transcripts the
+reference plays, and so write the same
 transcript lines; its result, worked out from its row counts, must equal
 the one recomputed from the reference's transcripts, bit for bit; and
 both must trip the abort monitor on the same row.

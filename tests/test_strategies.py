@@ -33,6 +33,7 @@ from trinegamble.strategies import (
 )
 
 from conftest import four_sigma, play_engine, random_basis, random_pair, transcript_player
+from separable_reference import prepare
 
 TRINE = trine_states()
 
@@ -56,7 +57,7 @@ def test_honest_preparation_is_uniform_and_truthful(rng):
     counts = {lab: 0 for lab in LABELS}
     n = 30_000
     for _ in range(n):
-        prep = alice.prepare(rng)
+        prep = prepare(alice, rng)
         assert prep.descriptor == f"trine:{prep.claim}"
         assert prep.wire is TRINE[prep.claim]
         counts[prep.claim] += 1
@@ -88,7 +89,7 @@ def test_fixed_cheat_from_angle_lands_on_neighbor_trine():
 
 def test_fixed_cheat_descriptor_encodes_angle():
     cheat = FixedStateCheat.from_angle(1.0, "b")
-    prep = cheat.prepare(random.Random(0))
+    prep = prepare(cheat, random.Random(0))
     assert prep.descriptor == "fixed:claim=b,theta=1"
     assert prep.claim == "b" and prep.wire is cheat.state
 
@@ -123,13 +124,13 @@ def test_fixed_cheat_validation():
 def test_mixture_prepare_frequencies(rng):
     mix = MixtureCheat(((0.25, TRINE["a"], "a"), (0.75, TRINE["b"], "b")))
     n = 30_000
-    first = sum(mix.prepare(rng).claim == "a" for _ in range(n))
+    first = sum(prepare(mix, rng).claim == "a" for _ in range(n))
     assert abs(first / n - 0.25) < four_sigma(0.25, n)
 
 
 def test_mixture_zero_weight_component_never_fires(rng):
     mix = MixtureCheat(((0.0, TRINE["a"], "a"), (1.0, TRINE["b"], "b")))
-    assert all(mix.prepare(rng).claim == "b" for _ in range(5_000))
+    assert all(prepare(mix, rng).claim == "b" for _ in range(5_000))
 
 
 def test_mixture_validation():
@@ -418,8 +419,9 @@ def test_any_sender_spec_parses_or_raises_value_error(spec):
         alice = parse_alice_spec(spec)
     except ValueError:
         return
-    # a separable sender draws her preparation with prepare, an entangled one has none
-    assert isinstance(alice, EntangledAlice) or hasattr(alice, "prepare")
+    # a separable sender draws one of her preparations, an entangled one has none
+    assert isinstance(alice, EntangledAlice) or prepare(alice, random.Random(0)) in {
+        prep for _, prep in alice.preparations}
     if isinstance(alice, MixtureCheat):
         weights = [p for p, _, _ in alice.components]
         assert all(math.isfinite(p) and p >= 0.0 for p in weights)
@@ -434,7 +436,7 @@ def test_parse_bob():
 
 
 # ---------------------------------------------------------------------------
-# strategies must survive a worker boundary
+# strategies must survive pickling unchanged
 
 
 def test_all_strategies_pickle():
@@ -460,11 +462,11 @@ def test_all_strategies_pickle():
     for obj in subjects:
         clone = pickle.loads(pickle.dumps(obj))
         if isinstance(clone, EntangledAlice):
-            # a worker compiles the same branch table; compiled past the
+            # a clone compiles the same branch table; compiled past the
             # cache, which would hand both the one table of their equal values
             assert compile_table(clone).exact_rows == compile_table(obj).exact_rows
         elif isinstance(clone, BobStrategy):
             assert rounds(HonestAlice(), clone) == rounds(HonestAlice(), obj)
         else:
-            # a worker plays the same rounds
+            # a clone plays the same rounds
             assert rounds(clone, honest) == rounds(obj, honest)

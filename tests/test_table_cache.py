@@ -252,7 +252,7 @@ def test_a_cached_table_is_read_only():
 @pytest.mark.parametrize("bob", [HONEST, BobStrategy.random_guess()], ids=["honest", "blind"])
 def test_two_workers_count_what_one_counts(bob):
     alice = random_entangled_policy(np.random.default_rng(8))
-    _entangled_table(alice, bob, PARAMS)  # the workers inherit or rebuild the same table
+    _entangled_table(alice, bob, PARAMS)  # every block's thread plays this one table
     one, two = (simulate(SimConfig(rounds=30_001, seed=4, params=PARAMS, alice=alice, bob=bob,
                                    workers=w)) for w in (1, 2))
     assert one == two
