@@ -24,20 +24,6 @@ class GainBreakdown:
     g_total: float
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """A (bias, penalty) pair on the curve r * (R + 2) = k."""
-
-    delta: float
-    penalty: float
-    k: float
-
-    def __post_init__(self):
-        drift = abs(self.delta * (self.penalty + 2.0) - self.k)
-        if drift > 1e-9 * max(1.0, abs(self.k)):
-            raise ValueError(f"inconsistent tradeoff point, delta*(R+2) - k = {drift!r}")
-
-
 def _check_angle(theta: float) -> float:
     theta = float(theta)
     if not 0.0 <= theta <= math.pi:
@@ -57,14 +43,6 @@ def _check_penalty(R: float) -> float:
     if not 0.0 < R < math.inf:
         raise ValueError(f"penalty must be positive and finite, got {R!r}")
     return R
-
-
-def p_correct(theta_a: float) -> float:
-    """Probability the optimal discriminator lands on the claimed label when
-    the prepared state sits at Bloch angle theta_a from it: (2/3) cos^2(theta_a/2)."""
-    theta_a = _check_angle(theta_a)
-    c = math.cos(theta_a / 2.0)
-    return (2.0 / 3.0) * c * c
 
 
 def gain_normal(theta_a: float) -> float:
@@ -128,7 +106,3 @@ def penalty_for_bias(delta: float, k: float) -> float:
         raise ValueError(f"penalty curve needs k > 2, got {k!r}")
     return k / delta - 2.0
 
-
-def tradeoff_point(delta: float, k: float) -> TradeoffPoint:
-    """The (bias, penalty) point at product k; bias falls like 1/R as R grows."""
-    return TradeoffPoint(delta, penalty_for_bias(delta, k), k)

@@ -51,12 +51,7 @@ whose draw the compiler knows are tabulated; any other separable sender
 is rejected with a ValueError. An entangled sender's table
 (_entangled_table) has eighteen rows (normal round: receiver's outcome
 or blind guess x her outcome; checking round: guess x her outcome x pass
-or accuse), and _table_branches plays them. With the table compiled once
-per key, the benchmark's entangled-scan workload at r = 0.05 went from
-5.33M to 6.52M rounds/s (BENCH_20.json), and reading words in place of
-floats took it from 6.70M to 8.36M (BENCH_24.json). Playing separable
-tables the same way, in place of one Python round at a time, took the
-separable-sweep workload from 570k to 7.14M rounds/s (BENCH_26.json).
+or accuse), and _table_branches plays them.
 
 One loop, _block_counts, plays both tables. A table's chunk function
 only turns a chunk of rounds (_SCALAR_CHUNK for a separable sender,

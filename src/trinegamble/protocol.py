@@ -25,9 +25,9 @@ whose transcripts leaf_transcript builds, and both its sampler and its
 exact oracle read that table.
 
 A separable sender is one of the strategies module's three families,
-whose preparations are the (weight, Preparation) pairs her prepare draws
-from, each a strategies.Preparation (what she sends and what she
-claims); montecarlo compiles her draw itself. A receiver is duck-typed:
+whose preparations are (weight, Preparation) pairs, each a
+strategies.Preparation (what she sends and what she claims); montecarlo
+compiles her draw among them. A receiver is duck-typed:
 he provides measurement_povm, the POVM he measures in normal rounds, or
 None when he guesses blind. Everything else he does is fixed by the
 protocol, and each round is ruled from the committed claim.

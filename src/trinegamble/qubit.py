@@ -11,11 +11,9 @@ outcomes, local_measure_branches and remote_povm_branches for either
 party's measurement of a pair, and check_fail_probability for the claim
 check. A draw over such a table is one uniform compared with its bounds.
 This module draws nothing: montecarlo compiles the bounds into a sender's
-table, and its engines compare each round's uniforms with them, the
-separable engine as floats bisected into the bounds, the entangled one as
-the random stream's Philox words against the bounds' integer word
-thresholds. The helpers are pure functions of immutable values and keep
-nothing on them.
+table as integer word thresholds, and both its engines compare each
+round's Philox words with them. The helpers are pure functions of
+immutable values and keep nothing on them.
 """
 
 from __future__ import annotations

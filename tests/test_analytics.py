@@ -13,14 +13,11 @@ from hypothesis import given, strategies as st
 
 from trinegamble.analytics import (
     GainBreakdown,
-    TradeoffPoint,
     gain_checking,
     gain_normal,
     gain_total,
     optimal_cheat_angle,
-    p_correct,
     penalty_for_bias,
-    tradeoff_point,
 )
 from trinegamble.qubit import (
     BlochVector,
@@ -37,12 +34,6 @@ penalties = st.floats(0.01, 1e4, allow_nan=False)
 
 # ---------------------------------------------------------------------------
 # frozen point values
-
-
-def test_p_correct_frozen():
-    assert p_correct(0.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert p_correct(math.pi / 2.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert p_correct(math.pi) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gain_normal_frozen():
@@ -85,11 +76,10 @@ def test_optimal_cheat_angle_frozen():
 
 
 def test_angle_domain():
-    for f in (p_correct, gain_normal):
-        with pytest.raises(ValueError):
-            f(-0.1)
-        with pytest.raises(ValueError):
-            f(math.pi + 0.1)
+    with pytest.raises(ValueError):
+        gain_normal(-0.1)
+    with pytest.raises(ValueError):
+        gain_normal(math.pi + 0.1)
     with pytest.raises(ValueError):
         gain_checking(-0.1, 10.0)
 
@@ -126,17 +116,9 @@ def test_penalty_for_bias_domain():
         penalty_for_bias(0.1, 1.5)
 
 
-def test_tradeoff_point_consistency_guard():
-    p = tradeoff_point(0.1, 20.0)
-    assert p == TradeoffPoint(0.1, 198.0, 20.0)
-    with pytest.raises(ValueError):
-        TradeoffPoint(0.1, 198.0, 21.0)
-
-
 @given(st.floats(0.001, 0.999), st.floats(2.001, 1e3))
 def test_tradeoff_curve_round_trip(delta, k):
-    p = tradeoff_point(delta, k)
-    assert p.delta * (p.penalty + 2.0) == pytest.approx(k, rel=1e-12)
+    assert delta * (penalty_for_bias(delta, k) + 2.0) == pytest.approx(k, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +132,9 @@ def test_breakdown_identity_exact(theta, r, R):
 
 
 @given(angles)
-def test_p_correct_determines_gain_normal(theta):
-    # both are affine in cos^2(theta/2): g_n = 2 - 3 p
-    assert gain_normal(theta) == pytest.approx(2.0 - 3.0 * p_correct(theta), abs=1e-12)
+def test_gain_normal_closed_form(theta):
+    assert gain_normal(theta) == pytest.approx(2.0 * (1.0 - math.cos(theta / 2.0) ** 2),
+                                               abs=1e-12)
 
 
 @given(angles)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from trinegamble import montecarlo
+from trinegamble import montecarlo, verify
 from trinegamble.montecarlo import (
     _CHUNK,
     _NORMAL,
@@ -25,13 +25,10 @@ from trinegamble.montecarlo import (
     _block_counts,
     _entangled_table,
     _result,
-    _separable_table,
     _table_branches,
     simulate,
 )
 from trinegamble.protocol import (
-    LOSE_PAYOUT,
-    WIN_PAYOUT,
     CheckResult,
     ProtocolParams,
     RoundKind,
@@ -42,20 +39,18 @@ from trinegamble.strategies import (
     BobStrategy,
     EntangledAlice,
     FixedStateCheat,
-    HonestAlice,
-    MixtureCheat,
     aligned_pair,
     in_plane_state,
     random_entangled_policy,
     singlet_mirror,
 )
+from trinegamble.verify import check_table_rows
 
 import entangled_reference
 from conftest import (
     closed_form_attack,
     play_engine,
     play_reference,
-    random_pure,
     reference_result,
     words_of,
 )
@@ -453,96 +448,14 @@ def test_povm_probabilities_off_their_sum_raise_in_normal_rounds(monkeypatch, re
 # channel noise depolarizes the sent half
 
 
-def _projector(state):
-    v = np.array([state.a0, state.a1], dtype=complex)
-    return np.outer(v, v.conj())
-
-
-def _density_rows(alice, bob, params):
-    """Every branch's probability as Tr[(P_u x E) rho] on the 4x4 density of
-    the pair after the channel, (1 - lam) |psi><psi| + lam rho_kept x I/2."""
-    v = alice.psi.vector()
-    pure = np.outer(v, v.conj())
-    kept = np.trace(pure.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-    lam, r = params.noise_lambda, params.r
-    rho = (1.0 - lam) * pure + lam * np.kron(kept, np.eye(2) / 2.0)
-    povm = bob.measurement_povm()
-
-    def prob(u, e):
-        return np.trace(np.kron(_projector(u), e) @ rho).real
-
-    rows = {}
-    for k, g in enumerate(LABELS):
-        for j, u in enumerate(alice.basis_policy[g]):
-            if povm is None:
-                rows[f"entangled|normal|guess={g}|j={j}"] = (1.0 - r) / 3.0 * prob(u, np.eye(2))
-            else:
-                rows[f"entangled|normal|guess={g}|j={j}"] = (1.0 - r) * prob(u, povm.elements[k])
-            claim = _projector(TRINE[alice.claim_policy[(g, j)]])
-            rows[f"entangled|checking|guess={g}|j={j}|pass"] = r / 3.0 * prob(u, claim)
-            rows[f"entangled|checking|guess={g}|j={j}|accuse"] = (
-                r / 3.0 * prob(u, np.eye(2) - claim))
-    return rows
-
-
 @pytest.mark.parametrize("bob", sorted(BOBS))
-def test_a_noisy_table_matches_the_density_matrix(bob):
-    rng = np.random.default_rng(2026)
-    for _ in range(50):
-        alice = random_entangled_policy(rng)
-        params = ProtocolParams(r=float(rng.uniform(0.0, 0.9)), R=398.0,
-                                noise_lambda=float(rng.uniform(0.0, 1.0)))
-        got = {name: p for name, p, _ in _entangled_table(alice, BOBS[bob], params).exact_rows}
-        want = _density_rows(alice, BOBS[bob], params)
-        assert sorted(got) == sorted(want)
-        assert max(abs(got[name] - want[name]) for name in got) < 1e-12
-
-
-def _separable_density_rows(alice, bob, params):
-    """Every row's (probability, payoff) from the 2x2 density of each
-    preparation's wire s after the channel, (1 - lam) |s><s| + lam I/2,
-    against the receiver's POVM elements and the claim's projector."""
-    lam, r = params.noise_lambda, params.r
-    povm = bob.measurement_povm()
-    rows = {}
-    for pc, prep in alice.preparations:
-        rho = (1.0 - lam) * _projector(prep.wire) + lam * np.eye(2) / 2.0
-        passed = np.trace(_projector(TRINE[prep.claim]) @ rho).real
-        for k, g in enumerate(LABELS):
-            stake = -WIN_PAYOUT if g == prep.claim else LOSE_PAYOUT
-            seen = 1.0 / 3.0 if povm is None else np.trace(povm.elements[k] @ rho).real
-            rows[f"{prep.descriptor}|normal|guess={g}"] = (pc * (1.0 - r) * seen, stake)
-            rows[f"{prep.descriptor}|checking|guess={g}|pass"] = (pc * r / 3.0 * passed, stake)
-            rows[f"{prep.descriptor}|checking|guess={g}|accuse"] = (
-                pc * r / 3.0 * (1.0 - passed), -params.R)
-    return rows
-
-
-def _random_separable_senders(rng):
-    claims = [LABELS[int(i)] for i in rng.integers(3, size=5)]
-    weights = rng.dirichlet(np.ones(4))
-    return (HonestAlice(), FixedStateCheat(random_pure(rng), claims[0]),
-            MixtureCheat(tuple((float(w), random_pure(rng), c)
-                               for w, c in zip(weights, claims[1:]))))
-
-
-@pytest.mark.parametrize("bob", sorted(BOBS))
-def test_every_separable_row_matches_the_density_matrix(bob):
+def test_every_compiled_row_matches_the_density_model(monkeypatch, bob):
     # the sampler and the exact oracle read these rows, so they are checked
-    # from outside: each row's probability and payoff, and its transcript
-    rng = np.random.default_rng(2027)
-    for _ in range(50):
-        params = ProtocolParams(r=float(rng.uniform(0.0, 0.9)), R=float(rng.uniform(1.0, 500.0)),
-                                noise_lambda=float(rng.uniform(0.0, 1.0)))
-        for alice in _random_separable_senders(rng):
-            table = _separable_table(alice, BOBS[bob], params)
-            want = _separable_density_rows(alice, BOBS[bob], params)
-            assert len(table.exact_rows) == 9 * len(alice.preparations) == len(want)
-            for (name, prob, payoff), t in zip(table.exact_rows, table.transcripts):
-                assert abs(prob - want[name][0]) < 1e-12 and payoff == want[name][1]
-                check = "" if t.check is None else f"|{t.check.value}"
-                assert name == f"{t.sent_descriptor}|{t.kind.value}|guess={t.guess}{check}"
-                assert payoff == t.alice_delta
+    # from outside: each row's name, probability and payoff, and its
+    # transcript, for every sender family and a noisy channel
+    monkeypatch.setattr(verify, "_RECEIVERS", (BOBS[bob],))
+    report = check_table_rows(np.random.default_rng(2026), 50)
+    assert report.passed and "0 of 200 tables" in report.detail, report.detail
 
 
 def test_a_fully_depolarizing_channel_leaves_the_receiver_nothing():

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trinegamble import cli
+from trinegamble import cli, montecarlo, verify
 from trinegamble.cli import (
     ENV_SEED,
     SIM_COLUMNS,
@@ -23,7 +24,9 @@ from trinegamble.cli import (
     main,
 )
 from trinegamble.montecarlo import SimResult
-from trinegamble.verify import check_povm_completeness, check_povm_positivity
+from trinegamble.protocol import leaf_transcript
+from trinegamble.strategies import aligned_pair
+from trinegamble.verify import check_povm_completeness, check_povm_positivity, check_table_rows
 
 
 def _run(capsys, argv):
@@ -449,8 +452,8 @@ def test_verify_all_pass(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     names = [l.split()[1].rstrip(":") for l in lines]
-    assert names == ["povm_completeness", "povm_positivity", "steering_identity",
-                     "order_invariance", "gain_closed_forms", "posterior_floor"]
+    assert names == ["povm_completeness", "povm_positivity", "table_rows",
+                     "no_signalling", "gain_closed_forms", "posterior_floor"]
     assert all(l.startswith("PASS") for l in lines)
     assert err.startswith("# trinegamble verify ")
 
@@ -463,6 +466,51 @@ def test_verify_checks_catch_planted_defects():
     lopsided = [np.diag([1.01, -0.01]), np.diag([-0.01, 1.01])]
     assert check_povm_completeness(lopsided).passed  # sums to I fine
     assert not check_povm_positivity(lopsided).passed
+
+
+@pytest.fixture
+def fresh_tables():
+    # a planted defect reaches the entangled tables only through a fresh
+    # compile, and no table compiled with it may outlive the test
+    montecarlo._cached_entangled_table.cache_clear()
+    yield
+    montecarlo._cached_entangled_table.cache_clear()
+
+
+def test_a_check_probability_off_by_1e9_fails_verify(monkeypatch, capsys, fresh_tables):
+    fail = montecarlo.check_fail_probability
+    monkeypatch.setattr(montecarlo, "check_fail_probability",
+                        lambda state, claim: fail(state, claim) + 1e-9)
+    report = check_table_rows(np.random.default_rng(0), 20)
+    assert not report.passed and "0 of 160 tables" in report.detail, report.detail
+    # python -m trinegamble verify, in this process
+    monkeypatch.setattr(sys, "argv", ["trinegamble", "verify", "--trials", "5"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("trinegamble", run_name="__main__")
+    assert exited.value.code == 2
+    assert capsys.readouterr().out.splitlines()[2].startswith("FAIL table_rows:")
+
+
+def test_table_rows_catch_one_swapped_claim(monkeypatch, fresh_tables):
+    # the planted table rules aligned_pair's row on guess "a" and outcome 0,
+    # whose claim is "a", on "b": its payoff and its transcript both follow
+    compile_table = montecarlo._compile
+
+    def swapped(alice, bob, params):
+        table = compile_table(alice, bob, params)
+        t = table.transcripts[0]
+        if t.sent_descriptor != "entangled":
+            return table
+        t = leaf_transcript(t.kind, t.sent_descriptor, t.guess, "b", t.check, params)
+        name, prob, _ = table.exact_rows[0]
+        return table._replace(exact_rows=((name, prob, t.alice_delta), *table.exact_rows[1:]),
+                              transcripts=(t, *table.transcripts[1:]))
+
+    monkeypatch.setattr(verify, "random_entangled_policy", lambda rng: aligned_pair())
+    assert check_table_rows(np.random.default_rng(0), 5).passed
+    monkeypatch.setattr(montecarlo, "_compile", swapped)
+    report = check_table_rows(np.random.default_rng(0), 5)
+    assert not report.passed and "10 of 40 tables" in report.detail, report.detail
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from trinegamble.strategies import (
     singlet_mirror,
 )
 from trinegamble.qubit import LABELS, PureState, TwoQubitState, trine_states
+from trinegamble.verify import model_rows
 
 from conftest import closed_form_attack, tally, transcript_player, uniforms
 from entangled_reference import run_round as reference_round
@@ -337,28 +338,6 @@ def test_exact_expectation_rejects_bad_tables():
         ExactExpectation(0.0, (("only", 0.5, 1.0),))
 
 
-def _joint_gain(alice, r, R):
-    """Exact gain from the joint probabilities |(<u| x <t|) psi|^2 of the
-    sender's outcome u and a projection t of the sent qubit, which do not
-    depend on who measures first."""
-    psi = alice.psi
-    m = np.array([[psi.c00, psi.c01], [psi.c10, psi.c11]])
-
-    def joint(u, t):
-        return abs(np.array([u.a0, u.a1]).conj() @ m @ np.array([t.a0, t.a1]).conj()) ** 2
-
-    normal = checking = 0.0
-    for g in LABELS:
-        for j, u in enumerate(alice.basis_policy[g]):
-            claim = alice.claim_policy[(g, j)]
-            stake = -1.0 if claim == g else 2.0
-            normal += (2.0 / 3.0) * joint(u, TRINE[g]) * stake
-            passed = joint(u, TRINE[claim])
-            failed = joint(u, TRINE[claim].orthogonal())
-            checking += (passed * stake - failed * R) / 3.0
-    return (1.0 - r) * normal + r * checking
-
-
 def test_exact_entangled_attack_matches_closed_form():
     for r, R in ((0.05, 398.0), (0.01, 1998.0)):
         exact = enumerate_exact(closed_form_attack(), ProtocolParams(r=r, R=R))
@@ -366,12 +345,15 @@ def test_exact_entangled_attack_matches_closed_form():
 
 
 def test_exact_entangled_matches_joint_probabilities():
+    # the gain of verify's density-matrix model, whose joint probabilities
+    # do not depend on who measures first
     senders = [aligned_pair(), singlet_mirror()]
     senders += [random_entangled_policy(np.random.default_rng(500 + i)) for i in range(20)]
     for params in (PARAMS, ProtocolParams(r=0.5, R=7.0)):
         for alice in senders:
-            exact = enumerate_exact(alice, params)
-            assert abs(exact.g_alice - _joint_gain(alice, params.r, params.R)) < 1e-12
+            rows = model_rows(alice, BobStrategy.honest_optimal(), params).values()
+            want = math.fsum(p * payoff for p, payoff in rows)
+            assert abs(enumerate_exact(alice, params).g_alice - want) < 1e-12
 
 
 def test_exact_entangled_table_is_a_distribution():
