@@ -448,14 +448,30 @@ def test_povm_probabilities_off_their_sum_raise_in_normal_rounds(monkeypatch, re
 # channel noise depolarizes the sent half
 
 
-@pytest.mark.parametrize("bob", sorted(BOBS))
-def test_every_compiled_row_matches_the_density_model(monkeypatch, bob):
-    # the sampler and the exact oracle read these rows, so they are checked
-    # from outside: each row's name, probability and payoff, and its
-    # transcript, for every sender family and a noisy channel
+# the sampler and the exact oracle read these rows, so they are checked from
+# outside by verify.check_table_rows: each row's name, probability and
+# payoff, and its transcript, against verify.model_rows on a noisy channel
+
+
+def _check_rows_of(monkeypatch, bob, families, seed):
+    """check_table_rows over 50 trials of one receiver and the sender
+    families that the slice families picks from verify._random_senders."""
+    senders = verify._random_senders
+    monkeypatch.setattr(verify, "_random_senders", lambda rng: senders(rng)[families])
     monkeypatch.setattr(verify, "_RECEIVERS", (BOBS[bob],))
-    report = check_table_rows(np.random.default_rng(2026), 50)
-    assert report.passed and "0 of 200 tables" in report.detail, report.detail
+    return check_table_rows(np.random.default_rng(seed), 50)
+
+
+@pytest.mark.parametrize("bob", sorted(BOBS))
+def test_a_noisy_table_matches_the_density_matrix(monkeypatch, bob):
+    report = _check_rows_of(monkeypatch, bob, slice(0, 1), 2026)
+    assert report.passed and "0 of 50 tables" in report.detail, report.detail
+
+
+@pytest.mark.parametrize("bob", sorted(BOBS))
+def test_every_separable_row_matches_the_density_matrix(monkeypatch, bob):
+    report = _check_rows_of(monkeypatch, bob, slice(1, None), 2027)
+    assert report.passed and "0 of 150 tables" in report.detail, report.detail
 
 
 def test_a_fully_depolarizing_channel_leaves_the_receiver_nothing():

@@ -26,7 +26,12 @@ from trinegamble.cli import (
 from trinegamble.montecarlo import SimResult
 from trinegamble.protocol import leaf_transcript
 from trinegamble.strategies import aligned_pair
-from trinegamble.verify import check_povm_completeness, check_povm_positivity, check_table_rows
+from trinegamble.verify import (
+    check_no_signalling,
+    check_povm_completeness,
+    check_povm_positivity,
+    check_table_rows,
+)
 
 
 def _run(capsys, argv):
@@ -489,6 +494,23 @@ def test_a_check_probability_off_by_1e9_fails_verify(monkeypatch, capsys, fresh_
         runpy.run_module("trinegamble", run_name="__main__")
     assert exited.value.code == 2
     assert capsys.readouterr().out.splitlines()[2].startswith("FAIL table_rows:")
+
+
+def test_no_signalling_catches_skewed_outcome_odds(monkeypatch, fresh_tables):
+    # the planted table moves 1e-10 of the receiver's odds from his first
+    # outcome to his second, still summing to 1, whatever the sender measures
+    branches = montecarlo.remote_povm_branches
+
+    def skewed(psi, povm):
+        (p0, k0), (p1, k1), *rest = branches(psi, povm)
+        return [(p0 + 1e-10, k0), (p1 - 1e-10, k1), *rest]
+
+    assert check_no_signalling(np.random.default_rng(0), 5).passed
+    montecarlo._cached_entangled_table.cache_clear()
+    monkeypatch.setattr(montecarlo, "remote_povm_branches", skewed)
+    report = check_no_signalling(np.random.default_rng(0), 5)
+    # scaled by (1 - r)(1 - lam) of the drawn games, far above the 1e-12 bar
+    assert not report.passed and float(report.detail.rsplit("= ", 1)[1]) > 1e-11, report.detail
 
 
 def test_table_rows_catch_one_swapped_claim(monkeypatch, fresh_tables):
