@@ -198,18 +198,15 @@ def cmd_simulate(args) -> int:
     with _output_streams(*paths) as streams:
         if args.transcript:
             write = streams[1].write
-            # both engines hand out one prebuilt transcript object per
-            # leaf: render each object's line once, keyed on its id (held
-            # keeps every rendered object, so no id is reused)
-            lines, held = {}, []
+            lines = None
 
-            def line_of(t):
-                held.append(t)
-                line = lines[id(t)] = transcript_line(t) + "\n"
-                return line
-
-            def sink(chunk):
-                write("".join([lines.get(id(t)) or line_of(t) for t in chunk]))
+            def sink(transcripts, rows):
+                # every call hands on the same table: render its rows once
+                nonlocal lines
+                if lines is None:
+                    lines = np.array([transcript_line(t) + "\n" for t in transcripts],
+                                     dtype=object)
+                write("".join(lines[rows].tolist()))
 
             result = simulate(config, transcript_sink=sink)
         else:

@@ -58,14 +58,13 @@ only turns a chunk of rounds (_SCALAR_CHUNK for a separable sender,
 _CHUNK for an entangled one) into the row each round lands on and the
 exception of the first round that raised, if any; only an entangled
 table has rows that raise. The loop does the rest for both: the abort
-monitor reads the chunk's checking rounds in order, through the checking
-and accused masks compiled into each table, and cuts the chunk at the
-round that trips it; a transcript sink gets the chunk's transcripts as
-one list in round order; and the exception is raised after that, unless
-the monitor tripped first. Both engines read the receiver only through
-measurement_povm(), never write to their table, and hand out one
-prebuilt transcript object per row, so the CLI renders each object's
-line once.
+monitor finds the first tripping round among the chunk's checking rounds
+in one array pass, through the checking and accused masks compiled into
+each table, and cuts the chunk there; a transcript sink gets the table's
+transcripts and the chunk's rows, read-only, in round order; and the
+exception is raised after that, unless the monitor tripped first. Both
+engines read the receiver only through measurement_povm() and never
+write to their table.
 
 Abort monitoring and transcript streaming are sequential (the monitor
 reads the running counts in round order), so those runs play as one
@@ -88,12 +87,11 @@ import numpy as np
 
 from .protocol import (
     CheckResult,
-    MonitorDecision,
     ProtocolParams,
     RoundKind,
     RoundResult,
-    abort_monitor,
     leaf_transcript,
+    monitor_trips,
     received_state,
 )
 from .qubit import (
@@ -351,9 +349,9 @@ def _block_counts(table, params, seed, start, count, sink=None):
     A chunk at a time, the table's chunk function gives each round's row and
     the exception of the first round that raised, or None. The monitor
     cuts the chunk at the round that trips it; sink, when given, then gets
-    the chunk's transcripts as one list in round order, never an empty
-    one; and only then, unless the monitor tripped first, is the exception
-    raised."""
+    table.transcripts and the chunk's rows in round order, read-only and
+    never empty; and only then, unless the monitor tripped first, is the
+    exception raised."""
     if isinstance(table, _BranchTable):
         size, play_chunk = _CHUNK, _table_chunk
     else:
@@ -371,7 +369,8 @@ def _block_counts(table, params, seed, start, count, sink=None):
                 aborted = True
                 error = None
         if sink is not None and len(branch):
-            sink(list(map(table.transcripts.__getitem__, branch.tolist())))
+            branch.flags.writeable = False  # a sink cannot change what is counted
+            sink(table.transcripts, branch)
         if error is not None:
             raise error
         counts += np.bincount(branch, minlength=len(counts))
@@ -380,17 +379,14 @@ def _block_counts(table, params, seed, start, count, sink=None):
 
 
 def _trip_row(table, branch: np.ndarray, counts: np.ndarray, params):
-    """Index of the row of branch at which abort_monitor trips, or None.
-
-    The chunk's checking rows go through the monitor in order, their
-    checks and accusations running on from the earlier chunks' counts."""
+    """Index of the row of branch at which the abort monitor trips, or None:
+    the first of the chunk's checking rows at which monitor_trips, all tested
+    at once on the checks and accusations running on from earlier chunks."""
     rows = np.flatnonzero(table.checking[branch])
-    checks = int(counts[table.checking].sum())
+    checks = np.arange(1, len(rows) + 1) + int(counts[table.checking].sum())
     accs = np.cumsum(table.accused[branch[rows]]) + int(counts[table.accused].sum())
-    for i, a in enumerate(accs.tolist()):
-        if abort_monitor(checks + i + 1, a, params) is MonitorDecision.ABORT:
-            return int(rows[i])
-    return None
+    trips = monitor_trips(checks, accs, params)
+    return int(rows[trips.argmax()]) if trips.any() else None
 
 
 # normal-round branches come first in a branch table, checking rounds after
@@ -632,14 +628,15 @@ def simulate(config: SimConfig, transcript_sink=None) -> SimResult:
     With the abort monitor enabled the run stops at the first tripping
     round and reports the partial totals with aborted = True.
 
-    transcript_sink, when given, is called once per chunk of rounds played
-    (at most _SCALAR_CHUNK rounds for a separable sender, _CHUNK for an
-    entangled one) with a list of that chunk's RoundTranscripts in round
-    order, never an empty one. The lists, joined, are every round of the
-    run: the last item is the round that tripped the monitor, if it
-    tripped; a round that raises is not in them, and every round before it
-    is (it raises only when the monitor did not trip first). Equal
-    transcripts are the same object.
+    transcript_sink, when given, is called as transcript_sink(transcripts,
+    rows) once per chunk of rounds played (at most _SCALAR_CHUNK rounds for
+    a separable sender, _CHUNK for an entangled one): transcripts is the
+    table's tuple of RoundTranscripts, the same on every call, and rows the
+    chunk's rows into it in round order, a read-only 1-D integer array,
+    never empty. The rows, joined, are every round of the run: the last is
+    the round that tripped the monitor, if it tripped; a round that raises
+    is not in them, and every round before it is (it raises only when the
+    monitor did not trip first).
     """
     params, seed, rounds = config.params, config.seed, config.rounds
     table = _compile(config.alice, config.bob, params)

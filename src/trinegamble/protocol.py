@@ -168,18 +168,21 @@ def leaf_transcript(kind: RoundKind, descriptor: str, guess: str, claim: str,
                            *settle(kind, verdict, check, params))
 
 
-def abort_monitor(checks: int, accusations: int, params: ProtocolParams) -> MonitorDecision:
-    """Receiver-side tripwire on the accusation rate.
+def monitor_trips(checks, accusations, params: ProtocolParams):
+    """Whether the abort monitor trips: at least abort_min_checks checks and
+    an accusation rate above abort_threshold, which must be set. On integer
+    arrays, elementwise: counts below 2**53 convert to float exactly and
+    numpy's division is correctly rounded, as Python's int / int is."""
+    # abort_min_checks >= 1, so zero checks never trip: divide by 1 instead
+    return ((checks >= params.abort_min_checks)
+            & (accusations / (checks + (checks == 0)) > params.abort_threshold))
 
-    Abort iff at least abort_min_checks checks have run and the observed
-    accusation rate accusations / checks exceeds abort_threshold. With the
-    threshold unset the monitor never trips.
-    """
-    if params.abort_threshold is None:
-        return MonitorDecision.CONTINUE
-    if checks >= params.abort_min_checks:
-        if accusations / checks > params.abort_threshold:
-            return MonitorDecision.ABORT
+
+def abort_monitor(checks: int, accusations: int, params: ProtocolParams) -> MonitorDecision:
+    """Receiver-side tripwire on the accusation rate: abort iff
+    monitor_trips. With the threshold unset the monitor never trips."""
+    if params.abort_threshold is not None and monitor_trips(checks, accusations, params):
+        return MonitorDecision.ABORT
     return MonitorDecision.CONTINUE
 
 

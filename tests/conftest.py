@@ -159,12 +159,21 @@ def play_reference(play, params, seed, start, count, played) -> bool:
     return False
 
 
+def object_sink(consume):
+    """A transcript sink that hands consume each chunk as the list of its
+    rounds' transcript objects, transcripts[row] for each row in order."""
+    def sink(transcripts, rows):
+        consume([transcripts[b] for b in rows.tolist()])
+    return sink
+
+
 def play_engine(alice, bob, params, seed, start, count):
     """The package's result for rounds [start, start + count), from the
     block's row counts, and the transcripts it handed its sink."""
     table = montecarlo._compile(alice, bob, params)
     played = []
-    counts, aborted = montecarlo._block_counts(table, params, seed, start, count, played.extend)
+    counts, aborted = montecarlo._block_counts(table, params, seed, start, count,
+                                               object_sink(played.extend))
     return montecarlo._result(table, counts, aborted), played
 
 

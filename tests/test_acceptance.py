@@ -33,7 +33,7 @@ from trinegamble.strategies import (
 )
 from trinegamble.verify import check_no_signalling, check_table_rows
 
-from conftest import four_sigma
+from conftest import four_sigma, object_sink
 
 TRINE = trine_states()
 MAIN = ProtocolParams(r=0.05, R=398.0)
@@ -162,7 +162,7 @@ def test_criterion_07_posterior_floor():
                 counts[key][0] += 1
 
     _sim(HonestAlice(), 1_000_000, seed=107,
-         params=ProtocolParams(r=0.1, R=398.0), sink=tally)
+         params=ProtocolParams(r=0.1, R=398.0), sink=object_sink(tally))
     gaps = {}
     for key, matches in (("match", True), ("mismatch", False)):
         want = posterior_unmeasured(0.1, matches)

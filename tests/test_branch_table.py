@@ -49,6 +49,7 @@ from trinegamble.verify import check_table_rows
 import entangled_reference
 from conftest import (
     closed_form_attack,
+    object_sink,
     play_engine,
     play_reference,
     reference_result,
@@ -349,9 +350,9 @@ def _engine_outcome(alice, params, count):
     """The engine's result, or the error it raised, and the lines it wrote first."""
     lines = []
     table = _entangled_table(alice, BOBS["honest"], params)
+    sink = object_sink(lambda chunk: lines.extend(map(transcript_line, chunk)))
     try:
-        got = _result(table, *_block_counts(table, params, 1, 0, count,
-                                            lambda chunk: lines.extend(map(transcript_line, chunk))))
+        got = _result(table, *_block_counts(table, params, 1, 0, count, sink))
     except AssertionError as exc:
         got = (type(exc), str(exc))
     return got, lines

@@ -41,7 +41,7 @@ from trinegamble.strategies import (
 from trinegamble.qubit import LABELS, PureState, TwoQubitState, trine_states
 from trinegamble.verify import model_rows
 
-from conftest import closed_form_attack, tally, transcript_player, uniforms
+from conftest import closed_form_attack, object_sink, tally, transcript_player, uniforms
 from entangled_reference import run_round as reference_round
 
 TRINE = trine_states()
@@ -204,7 +204,7 @@ def test_simulate_starts_no_process(monkeypatch, sender):
 def _played(alice, params, rounds, seed):
     played = []
     result = simulate(_config(alice, rounds, seed=seed, params=params),
-                      transcript_sink=played.extend)
+                      transcript_sink=object_sink(played.extend))
     return result, played
 
 
@@ -232,7 +232,7 @@ def test_totals_past_the_float_range_are_infinite(sender):
 def test_transcript_sink_is_exhaustive_and_consistent():
     seen = []
     cfg = _config(HonestAlice(), 4_000, seed=13, workers=4)
-    res = simulate(cfg, transcript_sink=seen.extend)
+    res = simulate(cfg, transcript_sink=object_sink(seen.extend))
     assert len(seen) == res.rounds == 4_000
     assert sum(t.kind.value == "checking" for t in seen) == res.check_count
     assert res == simulate(_config(HonestAlice(), 4_000, seed=13))
@@ -469,11 +469,12 @@ def test_zero_angle_cheat_plays_like_conditioned_honest():
     cheat_deltas = []
     simulate(_config(FixedStateCheat.from_angle(0.0, "a"), 30_000, seed=43,
                      params=params),
-             transcript_sink=lambda chunk: cheat_deltas.extend(t.alice_delta for t in chunk))
+             transcript_sink=object_sink(lambda chunk: cheat_deltas.extend(
+                 t.alice_delta for t in chunk)))
     honest_deltas = []
     simulate(_config(HonestAlice(), 30_000, seed=44, params=params),
-             transcript_sink=lambda chunk: honest_deltas.extend(
-                 t.alice_delta for t in chunk if t.sent_descriptor == "trine:a"))
+             transcript_sink=object_sink(lambda chunk: honest_deltas.extend(
+                 t.alice_delta for t in chunk if t.sent_descriptor == "trine:a")))
     assert len(honest_deltas) > 9_000
     _, p_value = ks_2samp(cheat_deltas, honest_deltas)
     assert p_value > 0.01
@@ -582,7 +583,7 @@ def test_monitor_trips_at_the_first_round_over_threshold():
     for seed in range(40, 46):
         transcripts = []
         result = simulate(_config(alice, 2_000, seed=seed, params=params),
-                          transcript_sink=transcripts.extend)
+                          transcript_sink=object_sink(transcripts.extend))
         checks = accs = 0
         trip = None
         for i, t in enumerate(transcripts, 1):
@@ -602,7 +603,7 @@ def test_driver_counts_every_verdict_once():
     transcripts = []
     result = simulate(_config(HonestAlice(), 3_000, seed=33,
                               params=ProtocolParams(r=0.3, R=398.0)),
-                      transcript_sink=transcripts.extend)
+                      transcript_sink=object_sink(transcripts.extend))
     counts = tally(transcripts)
     assert (result.rounds, result.win_count, result.lose_count) == counts[:3] == (3_000, counts.wins, 3_000 - counts.wins)
     assert (result.check_count, result.accuse_count) == (counts.checks, 0)
@@ -615,7 +616,7 @@ def test_driver_counts_the_verdict_of_an_accused_round():
     transcripts = []
     result = simulate(_config(FixedStateCheat(TRINE["b"], claim="a"), 2_000, seed=34,
                               params=ProtocolParams(r=0.5, R=398.0)),
-                      transcript_sink=transcripts.extend)
+                      transcript_sink=object_sink(transcripts.extend))
     accused = [t for t in transcripts if t.check is CheckResult.ACCUSE]
     assert {t.verdict.result for t in accused} == {RoundResult.BOB_WON, RoundResult.BOB_LOST}
     assert all(t.alice_delta == -398.0 for t in accused)

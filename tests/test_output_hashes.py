@@ -40,7 +40,7 @@ def test_every_record_is_one_line_of_a_small_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     kinds = [line.split(" ", 1)[0] for line in lines]
-    assert kinds == sorted(kinds, key=["simulate", "exact", "cli"].index)
+    assert kinds == sorted(kinds, key=["simulate", "exact", "cli", "transcript"].index)
 
     simulated = [line for line in lines if line.startswith("simulate ")]
     # six families, two receivers, six points, two worker counts
@@ -69,5 +69,12 @@ def test_every_record_is_one_line_of_a_small_checkout(tmp_path):
     empty = hashlib.sha256(b"").hexdigest()
     assert cli[1].split(" stdout=")[1].startswith(f"{empty} out.csv=")
     assert len(cli[1].split("out.csv=")[1]) == 64
+
+    # monitored, noisy transcript runs: two play every round, the cheat trips the monitor
+    transcripts = [line for line in lines if line.startswith("transcript ")]
+    assert [line.split(" --alice ")[1].split(" ")[0] for line in transcripts] == [
+        "honest", "entangled:aligned", "fixed:theta_a=2.5,claim=a"]
+    assert [line.split(" exit=")[1].split(" ")[0] for line in transcripts] == ["0", "0", "3"]
+    assert all(len(line.split(" rounds.jsonl=")[1]) == 64 for line in transcripts)
     assert not list(tmp_path.rglob("__pycache__"))
 

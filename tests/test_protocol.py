@@ -9,6 +9,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from trinegamble.protocol import (
@@ -21,6 +22,7 @@ from trinegamble.protocol import (
     RoundResult,
     Verdict,
     abort_monitor,
+    monitor_trips,
     settle,
     transcript_line,
     transcript_record,
@@ -168,6 +170,32 @@ def test_monitor_waits_for_minimum_checks():
 def test_monitor_no_checks_yet():
     params = ProtocolParams(r=0.1, R=398.0, abort_threshold=0.0)
     assert abort_monitor(0, 0, params) is MonitorDecision.CONTINUE
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.05, 0.3, 1.0 / 3.0, 0.5, 1.0])
+def test_the_monitor_rule_is_the_same_on_ints_and_arrays(threshold):
+    grid = [(c, a) for c in range(121) for a in range(c + 1)]
+    grid += [(10 ** 15, k * 10 ** 14 - d) for k in range(1, 11) for d in (0, 1)]
+    checks, accs = (np.array(column, dtype=np.int64) for column in zip(*grid))
+    for min_checks in (1, 7, 100):
+        params = ProtocolParams(r=0.1, R=398.0, abort_threshold=threshold,
+                                abort_min_checks=min_checks)
+        trips = monitor_trips(checks, accs, params)
+        assert trips.dtype == bool and trips.shape == checks.shape
+        # the rule as the monitor states it, in Python's correctly rounded int / int
+        want = [c >= min_checks and a / c > threshold for c, a in grid]
+        assert trips.tolist() == want
+        assert [bool(monitor_trips(c, a, params)) for c, a in grid] == want
+        assert [abort_monitor(c, a, params) is MonitorDecision.ABORT for c, a in grid] == want
+
+
+def test_the_monitor_trips_just_past_a_tie():
+    # 30 / 100 rounds to the double 0.3 itself, which is not above it
+    params = ProtocolParams(r=0.1, R=398.0, abort_threshold=0.3, abort_min_checks=100)
+    assert monitor_trips(np.array([100, 100, 99]), np.array([30, 31, 31]), params).tolist() == [
+        False, True, False]
+    assert abort_monitor(100, 30, params) is MonitorDecision.CONTINUE
+    assert abort_monitor(100, 31, params) is MonitorDecision.ABORT
 
 
 # ---------------------------------------------------------------------------

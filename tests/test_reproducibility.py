@@ -215,13 +215,14 @@ LEAF_BOUNDS = [
 @pytest.mark.parametrize("spec, bound", LEAF_BOUNDS, ids=[b[0] for b in LEAF_BOUNDS])
 def test_a_run_hands_out_one_object_per_leaf_and_renders_each_once(tmp_path, monkeypatch,
                                                                    spec, bound):
-    handed, rendered = [], []
+    handed, tables, rendered = [], [], []
     real_simulate, real_line = cli.simulate, cli.transcript_line
 
     def simulate_watched(config, transcript_sink=None):
-        def sink(chunk):
-            handed.extend(chunk)
-            transcript_sink(chunk)
+        def sink(transcripts, rows):
+            tables.append(transcripts)
+            handed.extend(rows.tolist())
+            transcript_sink(transcripts, rows)
         return real_simulate(config, transcript_sink=sink)
 
     def line(t):
@@ -233,8 +234,10 @@ def test_a_run_hands_out_one_object_per_leaf_and_renders_each_once(tmp_path, mon
     path = tmp_path / "rounds.jsonl"
     assert main(["simulate", "--alice", spec, "--rounds", "6000", "--seed", "21",
                  "--noise", "0.1", "--rate-r", "0.5", "--transcript", str(path)]) == 0
-    objects = {id(t): t for t in handed}
-    # one object per leaf: equal transcripts are the same object
-    assert len(objects) == len(set(handed)) <= bound
-    assert len(rendered) == len(objects) == len({id(t) for t in rendered})
-    assert path.read_text().splitlines() == [real_line(t) for t in handed]
+    # one object per leaf: every call hands on the same table of them
+    table = tables[0]
+    assert all(t is table for t in tables) and len(table) <= bound
+    # each row's line is rendered at most once per run
+    assert len({id(t) for t in rendered}) == len(rendered) <= bound
+    assert all(any(t is row for row in table) for t in rendered)
+    assert path.read_text().splitlines() == [real_line(table[b]) for b in handed]

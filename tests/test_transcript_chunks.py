@@ -1,13 +1,15 @@
-"""The transcript sink's contract, on both engines: simulate hands it one
-list per chunk of rounds played, in round order.
+"""The transcript sink's contract, on both engines: simulate calls it
+once per chunk of rounds played with the compiled table's transcripts,
+the same tuple on every call, and the chunk's rows into them, a
+read-only 1-D integer array in round order, never an empty one.
 
-Joined, the lists are the run's rounds as a per-round reference plays
-them (separable_reference.run_round for a separable sender,
+Turned into transcript objects (conftest.object_sink) and joined, the
+chunks are the run's rounds as a per-round reference plays them
+(separable_reference.run_round for a separable sender,
 entangled_reference.run_round for an entangled one, each through
 conftest.play_reference). With the abort monitor on, the tripping round
-is the last item handed on. A round that raises is not handed on, and
-every round before it is. The sink is called once per chunk played,
-never with an empty list.
+is the last one handed on. A round that raises is not handed on, and
+every round before it is. A sink that writes to its rows raises.
 
 The entangled engine's chunk is cut to _SMALL_CHUNK rows here, so that
 the reference plays runs of several chunks quickly.
@@ -33,7 +35,7 @@ from trinegamble.strategies import (
 )
 
 import entangled_reference
-from conftest import play_reference, reference_result, transcript_player
+from conftest import object_sink, play_reference, reference_result, transcript_player
 
 TRINE = trine_states()
 HONEST_BOB = BobStrategy.honest_optimal()
@@ -63,9 +65,20 @@ def _per_round(player, alice, params, seed, count):
 
 
 def _chunks(alice, params, seed, count):
-    chunks = []
+    """The run's result and each sink call's transcript objects; every call
+    is checked against the contract on its arguments."""
+    chunks, tables = [], []
+    to_objects = object_sink(chunks.append)
+
+    def sink(transcripts, rows):
+        tables.append(transcripts)
+        assert (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind in "iu"
+                and not rows.flags.writeable)
+        to_objects(transcripts, rows)
+
     result = simulate(SimConfig(rounds=count, seed=seed, params=params, alice=alice,
-                                bob=HONEST_BOB), transcript_sink=chunks.append)
+                                bob=HONEST_BOB), transcript_sink=sink)
+    assert type(tables[0]) is tuple and all(t is tables[0] for t in tables)
     return result, chunks
 
 
@@ -75,7 +88,6 @@ def test_the_chunks_join_to_the_rounds_played_one_at_a_time(engine):
     count = 2 * size + 123
     result, chunks = _chunks(alice, params, 7, count)
     assert [len(c) for c in chunks] == [size, size, 123]
-    assert all(type(c) is list for c in chunks)
     joined = [t for c in chunks for t in c]
     assert (joined, result) == _per_round(player, alice, params, 7, count)
     assert result.rounds == len(joined) and not result.aborted
@@ -126,7 +138,7 @@ def test_a_faulty_entangled_row_hands_on_every_earlier_row_then_raises(monkeypat
     chunks = []
     with pytest.raises(AssertionError, match="zero-probability measurement"):
         simulate(SimConfig(rounds=3 * _SMALL_CHUNK, seed=3, params=params, alice=alice,
-                           bob=HONEST_BOB), transcript_sink=chunks.append)
+                           bob=HONEST_BOB), transcript_sink=object_sink(chunks.append))
     assert [len(c) for c in chunks] == [_SMALL_CHUNK, 5]
     played = []
     with pytest.raises(AssertionError, match="zero-probability measurement"):
@@ -142,7 +154,7 @@ def test_a_faulty_entangled_first_row_hands_on_nothing(monkeypatch):
     with pytest.raises(AssertionError):
         simulate(SimConfig(rounds=10, seed=3, params=ProtocolParams(r=0.5, R=398.0),
                            alice=_zero_norm_outcome(), bob=HONEST_BOB),
-                 transcript_sink=chunks.append)
+                 transcript_sink=object_sink(chunks.append))
     assert chunks == []
 
 
@@ -174,12 +186,12 @@ def test_a_separable_round_that_raises_hands_on_every_earlier_round(monkeypatch,
                        bob=HONEST_BOB)
     expected, expected_result = _per_round(transcript_player, alice, params, 5, fault_at)
     if monitor == "trips first":
-        result = simulate(config, transcript_sink=chunks.append)
+        result = simulate(config, transcript_sink=object_sink(chunks.append))
         assert result == expected_result and result.aborted
         assert len(expected) == fault_at - 2 and expected[-1].kind is RoundKind.CHECKING
     else:
         with pytest.raises(RuntimeError, match="^round failed$"):
-            simulate(config, transcript_sink=chunks.append)
+            simulate(config, transcript_sink=object_sink(chunks.append))
         assert len(expected) == fault_at
     assert [len(c) for c in chunks] == [_SCALAR_CHUNK, len(expected) - _SCALAR_CHUNK]
     assert [t for c in chunks for t in c] == expected
@@ -206,3 +218,25 @@ def test_a_monitored_run_hands_on_what_an_unmonitored_one_does_up_to_the_trip():
     joined = [t for c in chunks for t in c]
     assert result.aborted and len(chunks) >= 2
     assert joined == [t for c in all_chunks for t in c][:len(joined)]
+
+
+def test_a_sink_that_writes_to_its_rows_raises(engine):
+    alice, _, size, noise = engine
+    config = SimConfig(rounds=2 * size + 5, seed=19, alice=alice, bob=HONEST_BOB,
+                       params=ProtocolParams(r=0.05, R=398.0, noise_lambda=noise))
+
+    def overwrite(transcripts, rows):
+        rows[:] = 0
+
+    with pytest.raises(ValueError, match="read-only"):
+        simulate(config, transcript_sink=overwrite)
+    writes = []
+
+    def try_to_overwrite(transcripts, rows):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = rows[-1] + 1
+        writes.append(len(rows))
+
+    # the failed writes leave every count as a run with no sink gives it
+    assert simulate(config, transcript_sink=try_to_overwrite) == simulate(config)
+    assert writes == [size, size, 5]

@@ -5,7 +5,7 @@ two checkouts can be compared with diff.
 
 DIR is a source checkout of this repository (default: the one holding this
 script); the package is imported from its ``src/`` (no bytecode is written)
-and its README's CLI examples are run. Three kinds of record, in a fixed
+and its README's CLI examples are run. Four kinds of record, in a fixed
 order:
 
     simulate <alice> bob=<bob> r=.. R=.. noise=.. monitor=<threshold/min checks|off>
@@ -13,6 +13,7 @@ order:
     exact <alice> r=.. R=.. noise=.. monitor=.. g_alice=<hex>, then per row:
         <row name> <probability> <payoff>
     cli <command> exit=<code> stdout=<sha256> [<file>=<sha256> ...]
+    transcript <command> exit=<code> stdout=<sha256> rounds.jsonl=<sha256>
 
 simulate runs every sender family against both receivers at each point of
 POINTS, whose penalties are integer (398, 40), dyadic (7.25) and not
@@ -22,6 +23,9 @@ of each family at each point. cli runs each ``trinegamble ...`` line of the
 README's indented code blocks (a ``for i in $(seq A B); do`` line before it
 repeats it for each i) with ``python3 -m trinegamble`` in an empty
 directory, and hashes its standard output and every file it leaves there.
+transcript runs ``trinegamble simulate`` the same way for each sender of
+TRANSCRIPT_SENDERS, with the abort monitor on, channel noise and a
+transcript file, at TRANSCRIPT_ARGS whatever N is.
 """
 
 from __future__ import annotations
@@ -52,6 +56,11 @@ POINTS = (
     (0.5, 77.7, 0.0, (0.1, 20)),
 )
 SEED = 7
+# a separable and an entangled sender who play every round, over more than
+# one chunk, and a cheat whom the monitor stops after her first chunk
+TRANSCRIPT_SENDERS = ("honest", "entangled:aligned", "fixed:theta_a=2.5,claim=a")
+TRANSCRIPT_ARGS = ("--rounds 70000 --seed 7 --rate-r 0.3 --noise 0.1 --abort-threshold 0.2 "
+                   "--abort-min-checks 2000 --transcript rounds.jsonl")
 
 
 def _import_package(checkout: str):
@@ -137,9 +146,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def cli_records(checkout: str):
-    with open(os.path.join(checkout, "README.md"), encoding="utf-8") as f:
-        commands = readme_commands(f.read())
+def _run_commands(checkout: str, kind: str, commands):
+    """Run each ``trinegamble ...`` command in an empty directory: one
+    record of its exit code and the hashes of its output and files."""
     env = {k: v for k, v in os.environ.items() if k != "TRINEGAMBLE_SEED"}
     env["PYTHONPATH"] = os.path.join(checkout, "src")
     env["PYTHONDONTWRITEBYTECODE"] = "1"
@@ -152,8 +161,19 @@ def cli_records(checkout: str):
             for name in sorted(os.listdir(workdir)):
                 with open(os.path.join(workdir, name), "rb") as f:
                     files.append(f"{name}={_sha256(f.read())}")
-        yield " ".join([f"cli {command} exit={proc.returncode}",
+        yield " ".join([f"{kind} {command} exit={proc.returncode}",
                         f"stdout={_sha256(proc.stdout)}", *files])
+
+
+def cli_records(checkout: str):
+    with open(os.path.join(checkout, "README.md"), encoding="utf-8") as f:
+        return _run_commands(checkout, "cli", readme_commands(f.read()))
+
+
+def transcript_records(checkout: str):
+    return _run_commands(checkout, "transcript",
+                         [f"trinegamble simulate --alice {alice} {TRANSCRIPT_ARGS}"
+                          for alice in TRANSCRIPT_SENDERS])
 
 
 def main(argv=None) -> int:
@@ -166,7 +186,7 @@ def main(argv=None) -> int:
     checkout = os.path.abspath(args.checkout)
     tg = _import_package(checkout)
     for records in (simulate_records(tg, args.rounds, args.workers), exact_records(tg),
-                    cli_records(checkout)):
+                    cli_records(checkout), transcript_records(checkout)):
         for record in records:
             print(record, flush=True)
     return 0
